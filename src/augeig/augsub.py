@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LinalgError
-from .fem import TransferMatrix, a_norm
+from .fem import a_norm
 from .linalg import SparseMatrix, a_normalize, dense_sym_gen_eig, pcg_solve
 
 
@@ -103,7 +103,7 @@ def select_eigenpairs(lambdas, u_H, xi, sys, m):
 
 def reassemble_fine(u_H, xi, P, u_tilde, A_h):
     """Fine vector P u_H + U~ xi, a-normalized with the sign convention."""
-    v = P.matrix @ u_H + u_tilde @ xi
+    v = P @ u_H + u_tilde @ xi
     return a_normalize(A_h, v)
 
 
@@ -134,10 +134,9 @@ def aug_subspace_step(assembler, state: EigenState, theta, precond="ssor",
     lambdas, u_H, xi = solve_bordered(sys)
     selected = select_eigenpairs(lambdas, u_H, xi, sys, m)
 
-    P = TransferMatrix(assembler.P)
     pairs = []
     for j, i in enumerate(selected):
-        vec = reassemble_fine(u_H[:, i], xi[:, i], P, U, A_h)
+        vec = reassemble_fine(u_H[:, i], xi[:, i], assembler.P, U, A_h)
         pairs.append((lambdas[i], vec, float(np.abs(xi[j, i]))))
     pairs.sort(key=lambda p: p[0])
 

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import AugeigError, ConfigError, GeometryError, MeshFormatError
 from .fem import CrossAssembler, assemble_mass, assemble_stiffness, build_space, build_transfer
 from .harness import EXAMPLES, load_config, run_example, timing_study
-from .mesh import classify_regions, fit_interfaces, generate_structured_mesh, write_mesh
+from .mesh import fitted_mesh, write_mesh
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 1
@@ -48,10 +48,7 @@ def _build_parser():
 
 def _cmd_generate(args):
     ex = EXAMPLES[args.example]()
-    mesh = generate_structured_mesh(ex.domain, args.h)
-    if ex.circles:
-        mesh = fit_interfaces(mesh, ex.circles)
-        mesh = classify_regions(mesh, ex.circles)
+    mesh = fitted_mesh(ex.domain, ex.circles, args.h)
     write_mesh(mesh, args.out)
     print(f"wrote {mesh.n_nodes} nodes / {mesh.n_triangles} triangles to {args.out}")
     return EXIT_OK
@@ -86,16 +83,8 @@ def _cmd_compare(args):
     coeff = ex.coefficient()
     plan = config.plan
 
-    from .mesh import classify_regions as _cls, fit_interfaces as _fit
-
-    def fitted(h):
-        mesh = generate_structured_mesh(ex.domain, h)
-        if ex.circles:
-            mesh = _cls(_fit(mesh, ex.circles), ex.circles)
-        return mesh
-
-    coarse = build_space(fitted(plan.coarse_h))
-    fine = build_space(fitted(plan.h1))
+    coarse = build_space(fitted_mesh(ex.domain, ex.circles, plan.coarse_h))
+    fine = build_space(fitted_mesh(ex.domain, ex.circles, plan.h1))
     A_h = assemble_stiffness(fine, coeff)
     B_h = assemble_mass(fine)
     P = build_transfer(coarse, fine)

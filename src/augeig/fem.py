@@ -11,8 +11,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import LinalgError
-from .linalg import SparseMatrix, dense_sym_gen_eig
-from .mesh import Mesh, locate_point
+from .linalg import SparseMatrix
+from .mesh import Mesh, barycentric, locate_many, locate_point
 
 
 @dataclass
@@ -48,21 +48,6 @@ class Coefficient:
         for tag, v in self.values.items():
             out[tags == tag] = v
         return out
-
-
-@dataclass
-class TransferMatrix:
-    """Sparse N_fine x N_coarse interpolation matrix.
-
-    Entry (f, c) is the value of the c-th coarse basis function at the
-    f-th fine node. Rows carry at most 3 nonzeros.
-    """
-
-    matrix: sp.csr_matrix
-
-    @property
-    def shape(self):
-        return self.matrix.shape
 
 
 @dataclass
@@ -185,12 +170,14 @@ def a_norm(A, v):
 b_norm = a_norm
 
 
-def build_transfer(coarse: FeSpace, fine: FeSpace) -> TransferMatrix:
-    """Interpolation matrix from the coarse space to the fine space.
+def build_transfer(coarse: FeSpace, fine: FeSpace) -> sp.csr_matrix:
+    """Sparse N_fine x N_coarse interpolation matrix.
 
-    Each fine free node is located in the coarse mesh; the row holds the
-    barycentric weights of the coarse free vertices there. Clamped
-    (snapped-to-nearest) locations are permitted.
+    Entry (f, c) is the value of the c-th coarse basis function at the
+    f-th fine node: each fine free node is located in the coarse mesh and
+    its row holds the barycentric weights of the coarse free vertices
+    there (at most 3 nonzeros). Clamped (snapped-to-nearest) locations
+    are permitted.
     """
     cmesh = coarse.mesh
     rows, cols, vals = [], [], []
@@ -204,22 +191,22 @@ def build_transfer(coarse: FeSpace, fine: FeSpace) -> TransferMatrix:
                 cols.append(c_dof)
                 vals.append(w)
     P = sp.coo_matrix((vals, (rows, cols)), shape=(fine.n_dof, coarse.n_dof))
-    return TransferMatrix(P.tocsr())
+    return P.tocsr()
 
 
-def _expand_to_nodes(space, U):
-    """Free-dof coefficient matrix -> per-node values with zero boundary."""
-    full = np.zeros((space.mesh.n_nodes, U.shape[1]))
-    full[space.free_nodes] = U
-    return full
+def _csr(rows, cols, vals, shape):
+    """CSR from broadcastable (rows, cols, vals); columns < 0 are dropped."""
+    rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
+    keep = cols >= 0
+    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
 
 
 class CrossAssembler:
     """Bordered-system assembly for a fixed (coarse, fine) space pair.
 
     The coarse blocks A_H, B_H do not depend on the augmenting fine
-    functions and are cached; only the border column/corner blocks are
-    rebuilt per call.
+    functions and are built once, as are exact mode's border operators;
+    each call assembles only the border column/corner blocks.
     """
 
     def __init__(self, coarse, fine, coeff, A_h, B_h, transfer, mode="galerkin"):
@@ -230,111 +217,68 @@ class CrossAssembler:
         self.coeff = coeff
         self.A_h = A_h
         self.B_h = B_h
-        self.P = transfer.matrix
+        self.P = transfer
         self.mode = mode
         if mode == "galerkin":
             self.A_H = (self.P.T @ (A_h.csr @ self.P)).toarray()
             self.B_H = (self.P.T @ (B_h.csr @ self.P)).toarray()
         else:
-            self.A_H, self.B_H = self._exact_coarse_blocks()
+            self.A_H, self.B_H, self._C_A, self._C_B = self._exact_operators()
         self.A_H = 0.5 * (self.A_H + self.A_H.T)
         self.B_H = 0.5 * (self.B_H + self.B_H.T)
 
     # -- exact mode -----------------------------------------------------
 
-    def _quad_points(self):
-        """Edge-midpoint rule (degree-2 exact) on every fine triangle.
+    def _exact_operators(self):
+        """(A_H, B_H, C_A, C_B) by quadrature on the fine mesh.
 
-        Returns midpoints (m, 3, 2) and the per-point weight |T|/3.
-        """
-        a, b, c = self.fine.mesh.triangle_corners()
-        mids = np.stack([(a + b) / 2, (b + c) / 2, (c + a) / 2], axis=1)
-        areas = self.fine.mesh.signed_areas()
-        return mids, areas / 3.0
-
-    def _coarse_data_at(self, points, anchors=None):
-        """Coarse dofs, basis values and gradients at scattered points.
+        The rule is the edge midpoints of every fine triangle (degree-2
+        exact), weight |T|/3, one row per (triangle, edge). Phi, Gx and Gy
+        map coarse dofs to the coarse basis values and gradients at those
+        points, so A_H = Gx^T W_k Gx + Gy^T W_k Gy and B_H = Phi^T W Phi.
+        Dx, Dy and Mid map fine dofs to the fine P1 gradient and value at
+        the same points, which folds the border into a_h = C_A U and
+        b_h = C_B U with C_A = Gx^T W_k Dx + Gy^T W_k Dy, C_B = Phi^T W Mid.
 
         Coarse gradients jump across coarse edges, and quadrature points
-        can sit exactly on such an edge. When ``anchors`` is given (the
-        centroid of the fine triangle owning each point), the location
-        probe is nudged toward it so the gradient comes from the coarse
-        triangle that actually contains the fine triangle. Basis values
-        are then evaluated exactly at the true point; they are continuous
-        across coarse edges, so the choice of side cannot change them.
+        can sit exactly on such an edge, so each point is located after a
+        nudge toward the centroid of its fine triangle: the gradient comes
+        from the coarse triangle that contains the fine one. Basis values
+        are continuous there and are evaluated at the true point.
         """
-        cmesh = self.coarse.mesh
-        grads, _ = _p1_gradients(cmesh)
-        dofs = np.empty((len(points), 3), dtype=np.int64)
-        values = np.empty((len(points), 3))
-        gradients = np.empty((len(points), 3, 2))
-        for i, p in enumerate(points):
-            probe = p if anchors is None else p + 1e-6 * (anchors[i] - p)
-            res = locate_point(cmesh, probe)
-            tri = res.triangle_index
-            verts = cmesh.triangles[tri]
-            a, b, c = cmesh.nodes[verts]
-            det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            l2 = ((p[0] - a[0]) * (c[1] - a[1]) - (p[1] - a[1]) * (c[0] - a[0])) / det
-            l3 = ((b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])) / det
-            dofs[i] = self.coarse.node_to_dof[verts]
-            values[i] = (1.0 - l2 - l3, l2, l3)
-            gradients[i] = grads[tri]
-        return dofs, values, gradients
+        fmesh, cmesh = self.fine.mesh, self.coarse.mesh
+        a, b, c = fmesh.triangle_corners()
+        mids = np.stack([(a + b) / 2, (b + c) / 2, (c + a) / 2], axis=1).reshape(-1, 2)
+        anchors = np.repeat(fmesh.centroids(), 3, axis=0)
+        tri, _, _ = locate_many(cmesh, mids + 1e-6 * (anchors - mids))
+        cgrads, _ = _p1_gradients(cmesh)
+        cgrads = cgrads[tri]
 
-    def _exact_coarse_blocks(self):
-        n_H = self.coarse.n_dof
-        mids, w = self._quad_points()
-        k = self.coeff.per_triangle(self.fine.mesh)
-        A_H = np.zeros((n_H, n_H))
-        B_H = np.zeros((n_H, n_H))
-        flat = mids.reshape(-1, 2)
-        anchors = np.repeat(self.fine.mesh.centroids(), 3, axis=0)
-        dofs, values, gradients = self._coarse_data_at(flat, anchors)
-        dofs = dofs.reshape(-1, 3, 3)
-        values = values.reshape(-1, 3, 3)
-        gradients = gradients.reshape(-1, 3, 3, 2)
-        for t in range(len(mids)):
-            for q in range(3):
-                d = dofs[t, q]
-                keep = d >= 0
-                if not keep.any():
-                    continue
-                di = d[keep]
-                g = gradients[t, q][keep]
-                v = values[t, q][keep]
-                A_H[np.ix_(di, di)] += w[t] * k[t] * (g @ g.T)
-                B_H[np.ix_(di, di)] += w[t] * np.outer(v, v)
-        self._exact_qp_cache = (mids, w, k, dofs, values, gradients)
-        return A_H, B_H
+        n_q = len(mids)
+        rows = np.arange(n_q)[:, None]
+        cdofs = self.coarse.node_to_dof[cmesh.triangles[tri]]
+        coarse_shape = (n_q, self.coarse.n_dof)
+        Phi = _csr(rows, cdofs, barycentric(cmesh, tri, mids), coarse_shape)
+        Gx = _csr(rows, cdofs, cgrads[..., 0], coarse_shape)
+        Gy = _csr(rows, cdofs, cgrads[..., 1], coarse_shape)
 
-    def _exact_border(self, U):
-        mids, w, k, dofs, values, gradients = self._exact_qp_cache
-        fmesh = self.fine.mesh
         fgrads, _ = _p1_gradients(fmesh)
-        U_nodes = _expand_to_nodes(self.fine, U)
-        m = U.shape[1]
-        n_H = self.coarse.n_dof
-        a_h = np.zeros((n_H, m))
-        b_h = np.zeros((n_H, m))
-        # Per fine triangle: constant gradient of each u~, linear values.
-        tri_vals = U_nodes[fmesh.triangles]              # (M, 3, m)
-        grad_u = np.einsum("tiv,tid->tdv", tri_vals, fgrads)  # (M, 2, m)
-        # Values of u~ at the edge midpoints of its own triangle.
-        mid_vals = 0.5 * (tri_vals + np.roll(tri_vals, -1, axis=1))  # (M, 3, m)
-        for t in range(len(mids)):
-            gu = grad_u[t]
-            for q in range(3):
-                d = dofs[t, q]
-                keep = d >= 0
-                if not keep.any():
-                    continue
-                di = d[keep]
-                g = gradients[t, q][keep]
-                v = values[t, q][keep]
-                a_h[di] += w[t] * k[t] * (g @ gu)
-                b_h[di] += w[t] * np.outer(v, mid_vals[t, q])
-        return a_h, b_h
+        fdofs = self.fine.node_to_dof[fmesh.triangles]
+        frows = rows.reshape(-1, 3, 1)
+        fine_shape = (n_q, self.fine.n_dof)
+        Dx = _csr(frows, fdofs[:, None, :], fgrads[:, None, :, 0], fine_shape)
+        Dy = _csr(frows, fdofs[:, None, :], fgrads[:, None, :, 1], fine_shape)
+        Mid = _csr(frows, fdofs[:, [[0, 1], [1, 2], [2, 0]]], 0.5, fine_shape)
+
+        w = np.repeat(fmesh.signed_areas() / 3.0, 3)
+        W = sp.diags(w)
+        W_k = sp.diags(w * np.repeat(self.coeff.per_triangle(fmesh), 3))
+        return (
+            (Gx.T @ W_k @ Gx + Gy.T @ W_k @ Gy).toarray(),
+            (Phi.T @ W @ Phi).toarray(),
+            (Gx.T @ W_k @ Dx + Gy.T @ W_k @ Dy).tocsr(),
+            (Phi.T @ W @ Mid).tocsr(),
+        )
 
     # -- shared ----------------------------------------------------------
 
@@ -354,7 +298,8 @@ class CrossAssembler:
             a_h = self.P.T @ AU
             b_h = self.P.T @ BU
         else:
-            a_h, b_h = self._exact_border(U)
+            a_h = self._C_A @ U
+            b_h = self._C_B @ U
 
         sys = BorderedSystem(
             A_H=self.A_H, a_h=a_h, alpha=0.5 * (alpha + alpha.T),

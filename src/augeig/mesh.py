@@ -306,10 +306,14 @@ def classify_regions(mesh: Mesh, circles) -> Mesh:
 class _Locator:
     """Point location with exact barycentric coordinates.
 
-    Brute-force scan below 1000 triangles, uniform background-grid
-    bucketing above. Both paths return identical results: the bucketed
-    path falls back to the full scan whenever no candidate contains the
-    query point.
+    A uniform background grid lists, for each cell, every triangle whose
+    bounding box (widened by far more than the inside tolerance) meets
+    the cell, in ascending triangle index, as one padded (cells, K)
+    table. Every triangle that holds a point is then a candidate of the
+    point's cell, so the first inside candidate is the first inside
+    triangle of a full scan. The scalar path scans all triangles below
+    1000 and uses the grid above; the batched path uses the grid at
+    every size. Points that no triangle holds are clamped by a full scan.
     """
 
     def __init__(self, mesh):
@@ -320,48 +324,56 @@ class _Locator:
         self.e2 = c - a
         self.det = _cross2(self.e1, self.e2)
         self.use_grid = mesh.n_triangles >= 1000
-        if self.use_grid:
-            self._build_grid()
+        self._build_grid()
 
     def _build_grid(self):
         nodes = self.mesh.nodes
-        self.xmin, self.ymin = nodes.min(axis=0)
-        xmax, ymax = nodes.max(axis=0)
-        ncell = max(1, int(np.sqrt(self.mesh.n_triangles / 2)))
-        self.nx = self.ny = ncell
-        self.dx = (xmax - self.xmin) / ncell or 1.0
-        self.dy = (ymax - self.ymin) / ncell or 1.0
-        t = self.mesh.triangles
-        px = nodes[t, 0]
-        py = nodes[t, 1]
-        ix0 = np.clip(((px.min(axis=1) - self.xmin) / self.dx).astype(int), 0, ncell - 1)
-        ix1 = np.clip(((px.max(axis=1) - self.xmin) / self.dx).astype(int), 0, ncell - 1)
-        iy0 = np.clip(((py.min(axis=1) - self.ymin) / self.dy).astype(int), 0, ncell - 1)
-        iy1 = np.clip(((py.max(axis=1) - self.ymin) / self.dy).astype(int), 0, ncell - 1)
-        buckets = {}
-        for tri in range(self.mesh.n_triangles):
-            for i in range(ix0[tri], ix1[tri] + 1):
-                for j in range(iy0[tri], iy1[tri] + 1):
-                    buckets.setdefault((i, j), []).append(tri)
-        self.buckets = {k: np.array(v, dtype=np.int64) for k, v in buckets.items()}
+        cells = max(1, int(np.sqrt(self.mesh.n_triangles / 2)))
+        span = nodes.max(axis=0) - nodes.min(axis=0)
+        self.size = np.where(span > 0, span / cells, 1.0)
+        # Shifted by half a cell, so the grid lines of a structured mesh
+        # of about this size fall mid-cell instead of on the widened
+        # bounding boxes (which would put each triangle in 3 x 3 cells).
+        self.lo = nodes.min(axis=0) - 0.5 * self.size
+        self.ncell = cells + 1
+        corners = nodes[self.mesh.triangles]
+        pad = 1e-9 * self.mesh.h_max
+        lo = self._cell_ij(corners.min(axis=1) - pad)
+        hi = self._cell_ij(corners.max(axis=1) + pad)
+        ny = hi[:, 1] - lo[:, 1] + 1
+        count = (hi[:, 0] - lo[:, 0] + 1) * ny
+        tri = np.repeat(np.arange(self.mesh.n_triangles), count)
+        k = np.arange(len(tri)) - np.repeat(np.cumsum(count) - count, count)
+        cell = (lo[tri, 0] + k // ny[tri]) * self.ncell + lo[tri, 1] + k % ny[tri]
+        order = np.argsort(cell, kind="stable")  # ascending triangles per cell
+        cell, tri = cell[order], tri[order]
+        self.count = np.bincount(cell, minlength=self.ncell ** 2)
+        first = np.cumsum(self.count) - self.count
+        self.table = np.full((self.ncell ** 2, self.count.max()), -1, dtype=np.int64)
+        self.table[cell, np.arange(len(cell)) - first[cell]] = tri
+
+    def _cell_ij(self, points):
+        ij = np.floor((points - self.lo) / self.size)
+        return np.clip(ij, 0, self.ncell - 1).astype(np.int64)
+
+    def _cells(self, points):
+        ij = self._cell_ij(points)
+        return ij[..., 0] * self.ncell + ij[..., 1]
 
     def _bary(self, p, idx):
         d = p - self.a[idx]
         l2 = _cross2(d, self.e2[idx]) / self.det[idx]
         l3 = _cross2(self.e1[idx], d) / self.det[idx]
         l1 = 1.0 - l2 - l3
-        return np.column_stack([l1, l2, l3])
+        return np.stack([l1, l2, l3], axis=-1)
 
     def locate(self, p):
         p = np.asarray(p, dtype=float)
         if self.use_grid:
-            i = int(np.clip((p[0] - self.xmin) // self.dx, 0, self.nx - 1))
-            j = int(np.clip((p[1] - self.ymin) // self.dy, 0, self.ny - 1))
-            cand = self.buckets.get((i, j))
-            if cand is not None:
-                res = self._best_inside(p, cand)
-                if res is not None:
-                    return res
+            cell = self._cells(p)
+            res = self._best_inside(p, self.table[cell, :self.count[cell]])
+            if res is not None:
+                return res
         all_idx = np.arange(self.mesh.n_triangles)
         res = self._best_inside(p, all_idx)
         if res is not None:
@@ -381,8 +393,34 @@ class _Locator:
         pick = int(np.flatnonzero(inside)[0])
         return LocateResult(int(idx[pick]), lam[pick], "inside")
 
+    def locate_many(self, points):
+        n = len(points)
+        tri = np.empty(n, dtype=np.int64)
+        bary = np.empty((n, 3))
+        inside = np.ones(n, dtype=bool)
+        for s in range(0, n, _LOCATE_CHUNK):
+            p = points[s:s + _LOCATE_CHUNK]
+            cand = self.table[self._cells(p)]            # (c, K), -1 padded
+            lam = self._bary(p[:, None, :], cand)        # (c, K, 3)
+            ok = (cand >= 0) & (lam.min(axis=2) >= -_BARY_TOL)
+            pick = ok.argmax(axis=1)
+            rows = np.arange(len(p))
+            tri[s:s + len(p)] = cand[rows, pick]
+            bary[s:s + len(p)] = lam[rows, pick]
+            for i in np.flatnonzero(~ok[rows, pick]):
+                res = self.locate(p[i])
+                tri[s + i], bary[s + i] = res.triangle_index, res.barycentric
+                inside[s + i] = res.status == "inside"
+        return tri, bary, inside
+
+
+# Points per batch in locate_many; bounds its (chunk, K, 3) temporaries.
+_LOCATE_CHUNK = 1024
+
 
 def _locator(mesh):
+    if mesh.n_triangles == 0:
+        raise GeometryError("cannot locate a point in an empty mesh")
     if mesh._locator is None:
         mesh._locator = _Locator(mesh)
     return mesh._locator
@@ -394,9 +432,35 @@ def locate_point(mesh: Mesh, p) -> LocateResult:
     Total function: outside points are clamped to the triangle with the
     smallest barycentric violation, ties broken by smallest triangle index.
     """
-    if mesh.n_triangles == 0:
-        raise GeometryError("cannot locate a point in an empty mesh")
     return _locator(mesh).locate(p)
+
+
+def locate_many(mesh: Mesh, points):
+    """``locate_point`` for an (n, 2) array of points, batched.
+
+    Returns (triangle_index (n,), barycentric (n, 3), inside (n,) bool),
+    point by point equal to ``locate_point``; ``inside`` is False where
+    its status is "snapped-to-nearest".
+    """
+    return _locator(mesh).locate_many(np.asarray(points, dtype=float).reshape(-1, 2))
+
+
+def barycentric(mesh: Mesh, triangle_index, points):
+    """Barycentric coordinates (n, 3) of points in the given triangles.
+
+    Same arithmetic as ``locate_point``; no inside test, so points may
+    lie outside their triangle.
+    """
+    return _locator(mesh)._bary(np.asarray(points, dtype=float), triangle_index)
+
+
+def fitted_mesh(domain: Rect, circles, h, snap_fraction=DEFAULT_SNAP_FRACTION) -> Mesh:
+    """Structured mesh of size h, fitted to and classified by the circles."""
+    mesh = generate_structured_mesh(domain, h)
+    if circles:
+        mesh = fit_interfaces(mesh, circles, snap_fraction=snap_fraction)
+        mesh = classify_regions(mesh, circles)
+    return mesh
 
 
 def write_mesh(mesh: Mesh, path):

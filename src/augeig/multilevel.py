@@ -79,6 +79,9 @@ class LevelRecord:
 
 
 def _fitted_mesh(domain, circles, h, snap_fraction):
+    # Same steps as mesh.fitted_mesh, called through this module's names:
+    # perfbench/spans.py times mesh generation and fitting by patching
+    # generate_structured_mesh, fit_interfaces and classify_regions here.
     mesh = generate_structured_mesh(domain, h)
     if circles:
         mesh = fit_interfaces(mesh, circles, snap_fraction=snap_fraction)
@@ -141,9 +144,7 @@ def multilevel_solve(hierarchy: Hierarchy, plan: LevelPlan, coarse_tol=1e-11,
         ))
 
     for k, level in enumerate(hierarchy.levels[1:], start=2):
-        Q = level.transfer_prev.matrix
-        carried = Q @ state.vectors
-        vectors = carried.copy()
+        vectors = level.transfer_prev @ state.vectors
         for j in range(vectors.shape[1]):
             vectors[:, j] = a_normalize(level.A_h, vectors[:, j])
         state = EigenState(lambdas=state.lambdas.copy(), vectors=vectors,

@@ -7,16 +7,12 @@ from augeig.augsub import EigenState
 from augeig.fem import CrossAssembler, assemble_mass, assemble_stiffness, build_space, build_transfer
 from augeig.harness import example1, unit_square
 from augeig.linalg import a_normalize, reference_eigensolve
-from augeig.mesh import classify_regions, fit_interfaces, generate_structured_mesh
+from augeig import mesh
 
 
 def fitted_mesh(ex, h):
     """Structured mesh for an example, interface-fitted when circles exist."""
-    mesh = generate_structured_mesh(ex.domain, h)
-    if ex.circles:
-        mesh = fit_interfaces(mesh, ex.circles)
-        mesh = classify_regions(mesh, ex.circles)
-    return mesh
+    return mesh.fitted_mesh(ex.domain, ex.circles, h)
 
 
 @pytest.fixture(scope="session")
@@ -64,7 +60,7 @@ def square_initial_state(square_pair):
     A_H = assemble_stiffness(sp["coarse"], sp["coeff"])
     B_H = assemble_mass(sp["coarse"])
     lams, vecs = reference_eigensolve(A_H, B_H, 3, 1e-11)
-    V = sp["P"].matrix @ vecs
+    V = sp["P"] @ vecs
     for j in range(V.shape[1]):
         V[:, j] = a_normalize(sp["A_h"], V[:, j])
     return EigenState(lambdas=lams.copy(), vectors=V, iteration=0)

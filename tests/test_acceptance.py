@@ -254,7 +254,7 @@ def test_criterion_8_structural_invariants(ex1, tmp_path):
     # Transfer rows: values form a partial partition of unity.
     coarse = build_space(fitted_mesh(ex1, 2 / 17))
     fine = build_space(fitted_mesh(ex1, 2 / 34))
-    P = build_transfer(coarse, fine).matrix
+    P = build_transfer(coarse, fine)
     sums = np.asarray(P.sum(axis=1)).ravel()
     checks["transfer"] = bool(sums.min() > -1e-12 and sums.max() < 1 + 1e-12)
 

@@ -19,7 +19,7 @@ from augeig.fem import (
     local_stiffness,
 )
 from augeig.linalg import SparseMatrix
-from augeig.mesh import Rect, generate_structured_mesh
+from augeig.mesh import Rect, generate_structured_mesh, locate_point
 
 from conftest import fitted_mesh
 
@@ -119,7 +119,7 @@ def test_a_norm_rejects_indefinite():
 
 def test_transfer_identity_on_same_mesh():
     space = build_space(generate_structured_mesh(Rect(0, 0, 2, 2), 0.5))
-    P = build_transfer(space, space).matrix
+    P = build_transfer(space, space)
     assert (abs(P - sp.identity(space.n_dof, format="csr"))).nnz == 0
 
 
@@ -132,7 +132,7 @@ def test_transfer_nested_interpolation_oracle():
     H, h = 0.5, 0.25
     coarse = build_space(generate_structured_mesh(Rect(0, 0, 2, 2), H))
     fine = build_space(generate_structured_mesh(Rect(0, 0, 2, 2), h))
-    P = build_transfer(coarse, fine).matrix
+    P = build_transfer(coarse, fine)
 
     def g(p):
         return p[..., 0] * (2 - p[..., 0]) * p[..., 1] * (2 - p[..., 1])
@@ -157,7 +157,7 @@ def test_transfer_nested_interpolation_oracle():
 def test_transfer_partition_of_unity(ex1):
     coarse = build_space(fitted_mesh(ex1, 2 / 17))
     fine = build_space(fitted_mesh(ex1, 2 / 34))
-    P = build_transfer(coarse, fine).matrix
+    P = build_transfer(coarse, fine)
     sums = np.asarray(P.sum(axis=1)).ravel()
     assert sums.min() > -1e-12 and sums.max() < 1 + 1e-12
     pts = fine.mesh.nodes[fine.free_nodes]
@@ -187,7 +187,7 @@ def test_bordered_blocks_galerkin(square_pair):
     sp_ = square_pair
     U = _orthonormal_block(sp_["A_h"], sp_["fine"].n_dof, 2)
     sys = sp_["assembler"].assemble(U)
-    P = sp_["P"].matrix
+    P = sp_["P"]
     assert np.allclose(sys.A_H, (P.T @ (sp_["A_h"].csr @ P)).toarray(), atol=1e-12)
     assert np.allclose(sys.alpha, np.eye(2), atol=1e-10)
     assert np.allclose(sys.full_stiffness(), sys.full_stiffness().T)
@@ -227,3 +227,52 @@ def test_exact_equals_galerkin_on_nested_pair():
     for blk in ("A_H", "a_h", "alpha", "B_H", "b_h", "beta"):
         diff = np.abs(getattr(sys_e, blk) - getattr(sys_g, blk)).max()
         assert diff < 1e-12, blk
+
+
+def _exact_oracle(coarse, fine, coeff, U):
+    """Exact-mode blocks by a loop over the fine edge-midpoint rule.
+
+    Each point is located with locate_point after the nudge toward its
+    fine triangle's centroid; coarse basis values and gradients come from
+    the inverse of the coarse triangle's [1, x, y] vertex matrix, the fine
+    gradient of each column of U from a 2x2 solve.
+    """
+    cmesh, fmesh = coarse.mesh, fine.mesh
+    k = coeff.per_triangle(fmesh)
+    u = np.zeros((fmesh.n_nodes, U.shape[1]))
+    u[fine.free_nodes] = U
+    n_H = coarse.n_dof
+    A_H, B_H = np.zeros((n_H, n_H)), np.zeros((n_H, n_H))
+    a_h, b_h = np.zeros((n_H, U.shape[1])), np.zeros((n_H, U.shape[1]))
+    for t, tri in enumerate(fmesh.triangles):
+        x = fmesh.nodes[tri]
+        edges = np.array([x[1] - x[0], x[2] - x[0]])
+        w = 0.5 * np.linalg.det(edges) / 3.0
+        grad_u = np.linalg.solve(edges, u[tri[1:]] - u[tri[0]])  # (2, m)
+        centroid = x.mean(axis=0)
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            p = 0.5 * (x[i] + x[j])
+            verts = cmesh.triangles[locate_point(cmesh, p + 1e-6 * (centroid - p)).triangle_index]
+            inv = np.linalg.inv(np.column_stack([np.ones(3), cmesh.nodes[verts]])).T
+            values = inv @ np.array([1.0, p[0], p[1]])
+            grads = inv[:, 1:]
+            d = coarse.node_to_dof[verts]
+            keep = d >= 0
+            d, values, grads = d[keep], values[keep], grads[keep]
+            A_H[np.ix_(d, d)] += w * k[t] * grads @ grads.T
+            B_H[np.ix_(d, d)] += w * np.outer(values, values)
+            a_h[d] += w * k[t] * grads @ grad_u
+            b_h[d] += w * np.outer(values, 0.5 * (u[tri[i]] + u[tri[j]]))
+    return {"A_H": A_H, "B_H": B_H, "a_h": a_h, "b_h": b_h}
+
+
+def test_exact_matches_quadrature_oracle_on_nonnested_pair(ex1):
+    coarse = build_space(fitted_mesh(ex1, 2 / 17))
+    fine = build_space(fitted_mesh(ex1, 2 / 19))
+    coeff = ex1.coefficient()
+    A_h = assemble_stiffness(fine, coeff)
+    U = _orthonormal_block(A_h, fine.n_dof, 3, seed=5)
+    sys = assemble_cross(coarse, fine, coeff, U, mode="exact", A_h=A_h)
+    for blk, want in _exact_oracle(coarse, fine, coeff, U).items():
+        got = getattr(sys, blk)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), blk

@@ -11,6 +11,7 @@ from augeig.mesh import (
     classify_regions,
     fit_interfaces,
     generate_structured_mesh,
+    locate_many,
     locate_point,
     meshes_equal,
     read_mesh,
@@ -227,6 +228,46 @@ def test_locate_empty_mesh():
     )
     with pytest.raises(GeometryError):
         locate_point(empty, (0.0, 0.0))
+    with pytest.raises(GeometryError):
+        locate_many(empty, np.zeros((3, 2)))
+
+
+def _location_probes(mesh, finer, rng):
+    """Points that stress location: vertices and fine nodes (many ties on
+    shared edges and corners), fine edge midpoints nudged toward their
+    triangle's centroid, random points and points outside the domain."""
+    a, b, c = finer.triangle_corners()
+    mids = np.concatenate([(a + b) / 2, (b + c) / 2, (c + a) / 2])
+    anchors = np.tile(finer.centroids(), (3, 1))
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    outside = lo - 0.5 + rng.random((200, 2)) * (hi - lo + 1.0)
+    outside = outside[(outside < lo).any(axis=1) | (outside > hi).any(axis=1)]
+    return np.concatenate([
+        mesh.nodes, finer.nodes, mids + 1e-6 * (anchors - mids),
+        lo + rng.random((500, 2)) * (hi - lo), outside,
+    ])
+
+
+@pytest.mark.parametrize("h, finer_h, fitted", [
+    (2 / 17, 2 / 19, True),    # 578 triangles: locate_point scans
+    (2 / 40, 2 / 45, True),    # 3200 triangles: locate_point uses the grid
+    (2 / 25, 2 / 30, False),   # 1250 triangles, unfitted structured grid
+])
+def test_locate_many_matches_locate_point(ex1, h, finer_h, fitted):
+    def make(size):
+        if fitted:
+            return fitted_mesh(ex1, size)
+        return generate_structured_mesh(ex1.domain, size)
+
+    mesh, finer = make(h), make(finer_h)
+    pts = _location_probes(mesh, finer, np.random.default_rng(11))
+    tri, bary, inside = locate_many(mesh, pts)
+    assert (~inside).sum() >= 100  # the outside points were clamped
+    for p, t, lam, ins in zip(pts, tri, bary, inside):
+        res = locate_point(mesh, p)
+        assert res.triangle_index == t
+        assert np.array_equal(res.barycentric, lam)
+        assert (res.status == "inside") == ins
 
 
 # -- file format -----------------------------------------------------------
