@@ -22,7 +22,8 @@ class EigenState:
     lambdas: np.ndarray   # (m,), ascending
     vectors: np.ndarray   # (n_dof, m), each a-normalized
     iteration: int = 0
-    history: list = field(default_factory=list)
+    reports: list = None  # per-slot SolveReport of the step that made this state
+    records: list = field(default_factory=list)  # StepRecord per multilevel_solve step
 
     @property
     def m(self):
@@ -30,7 +31,7 @@ class EigenState:
 
 
 def correction_solve(A_h: SparseMatrix, B_h: SparseMatrix, state: EigenState,
-                     theta, precond="ssor"):
+                     theta):
     """Solve A u~ = lambda B u for each tracked pair, then a-orthonormalize.
 
     Each solve starts from the current iterate and must contract the
@@ -43,7 +44,7 @@ def correction_solve(A_h: SparseMatrix, B_h: SparseMatrix, state: EigenState,
     for j in range(m):
         rhs = state.lambdas[j] * (B_h.csr @ state.vectors[:, j])
         x, report = pcg_solve(A_h, rhs, x0=state.vectors[:, j].copy(),
-                              theta=theta, precond=precond)
+                              theta=theta, precond="ssor")
         U[:, j] = x
         reports.append(report)
 
@@ -107,53 +108,25 @@ def reassemble_fine(u_H, xi, P, u_tilde, A_h):
     return a_normalize(A_h, v)
 
 
-@dataclass
-class StepDiagnostics:
-    lambdas: np.ndarray
-    contractions: list
-    selected: list
-    xi_magnitudes: np.ndarray
-    anorm_errors: np.ndarray = None
-
-
-def aug_subspace_step(assembler, state: EigenState, theta, precond="ssor",
-                      error_fn=None) -> EigenState:
+def aug_subspace_step(assembler, state: EigenState, theta) -> EigenState:
     """One full augmented subspace iteration.
 
     correction solve -> border assembly -> bordered eigenproblem ->
     selection -> fine reassembly. Level data (matrices, transfer) live in
-    the assembler and are never mutated. ``error_fn`` maps the new
-    eigenvector block to per-slot A-norm errors for the history entry.
+    the assembler and are never mutated. The new state carries the
+    correction solves' reports, one per slot of the input state.
     """
     A_h = assembler.A_h
-    B_h = assembler.B_h
-    m = state.m
-
-    U, reports = correction_solve(A_h, B_h, state, theta, precond=precond)
+    U, reports = correction_solve(A_h, assembler.B_h, state, theta)
     sys = assembler.assemble(U)
     lambdas, u_H, xi = solve_bordered(sys)
-    selected = select_eigenpairs(lambdas, u_H, xi, sys, m)
+    selected = select_eigenpairs(lambdas, u_H, xi, sys, state.m)
 
-    pairs = []
-    for j, i in enumerate(selected):
-        vec = reassemble_fine(u_H[:, i], xi[:, i], assembler.P, U, A_h)
-        pairs.append((lambdas[i], vec, float(np.abs(xi[j, i]))))
-    pairs.sort(key=lambda p: p[0])
-
-    new_lambdas = np.array([p[0] for p in pairs])
-    new_vectors = np.column_stack([p[1] for p in pairs])
-    diag = StepDiagnostics(
-        lambdas=new_lambdas.copy(),
-        contractions=[r.achieved_contraction for r in reports],
-        selected=selected,
-        xi_magnitudes=np.array([p[2] for p in pairs]),
-    )
-    if error_fn is not None:
-        diag.anorm_errors = np.asarray(error_fn(new_vectors))
-
+    order = sorted(selected, key=lambda i: lambdas[i])
+    vectors = [reassemble_fine(u_H[:, i], xi[:, i], assembler.P, U, A_h) for i in order]
     return EigenState(
-        lambdas=new_lambdas,
-        vectors=new_vectors,
+        lambdas=lambdas[order],
+        vectors=np.column_stack(vectors),
         iteration=state.iteration + 1,
-        history=state.history + [diag],
+        reports=reports,
     )

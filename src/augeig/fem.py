@@ -167,8 +167,6 @@ def a_norm(A, v):
     return np.sqrt(max(q, 0.0))
 
 
-b_norm = a_norm
-
 
 def build_transfer(coarse: FeSpace, fine: FeSpace) -> sp.csr_matrix:
     """Sparse N_fine x N_coarse interpolation matrix.

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ConvergenceError, LinalgError
+from .errors import ConfigError, LinalgError
 from .fem import Coefficient, a_norm
 from .linalg import reference_eigensolve
 from .mesh import Circle, Rect
@@ -261,8 +261,7 @@ def measure_errors(lambdas, vectors, ref_lams, ref_vecs, clusters, A_h):
 
 @dataclass
 class RunResult:
-    state: "object"
-    records: list
+    state: "object"     # final EigenState; its records hold every step
     references: list    # per fine level: (lambdas, vectors)
     clusters: list
     converged: bool
@@ -275,7 +274,7 @@ def _reference_for_level(level, nev, clusters, seed):
     return reference_eigensolve(level.A_h, level.B_h, need, 1e-11, seed=seed)
 
 
-def run_example(config: RunConfig, per_level_reference=True) -> RunResult:
+def run_example(config: RunConfig) -> RunResult:
     """Full pipeline: hierarchy, multilevel solve, reference, CSV, summary.
 
     References are solved before the multilevel run so that per-step
@@ -293,33 +292,17 @@ def run_example(config: RunConfig, per_level_reference=True) -> RunResult:
     ref_lams, ref_vecs = _reference_for_level(finest, plan.nev, ex.clusters,
                                               config.seed)
     clusters = detect_clusters(ref_lams, ex.clusters)
-    references = []
-    for level in hierarchy.levels[:-1]:
-        if per_level_reference:
-            references.append(_reference_for_level(level, plan.nev, clusters,
-                                                   config.seed))
-        else:
-            references.append(None)
+    references = [_reference_for_level(level, plan.nev, clusters, config.seed)
+                  for level in hierarchy.levels[:-1]]
     references.append((ref_lams, ref_vecs))
 
-    error_fns = []
-    for level, ref in zip(hierarchy.levels, references):
-        if ref is None:
-            error_fns.append(None)
-            continue
-        rl, rv = ref
-        A_h = level.A_h
+    def error_fn(level, ref):
+        return lambda V: measure_errors(np.zeros(V.shape[1]), V, *ref, clusters,
+                                        level.A_h)[0]
 
-        def error_fn(V, rl=rl, rv=rv, A_h=A_h):
-            errs, _ = measure_errors(np.zeros(V.shape[1]), V, rl, rv, clusters, A_h)
-            return errs
-
-        error_fns.append(error_fn)
-
-    records = []
+    error_fns = [error_fn(level, ref) for level, ref in zip(hierarchy.levels, references)]
     state = multilevel_solve(hierarchy, plan, coarse_tol=config.coarse_tol,
-                             seed=config.seed, records=records,
-                             error_fns=error_fns)
+                             seed=config.seed, error_fns=error_fns)
 
     lam_err = np.abs(state.lambdas - ref_lams[:plan.nev])
     converged = bool((lam_err < config.tol_lambda).all())
@@ -327,36 +310,24 @@ def run_example(config: RunConfig, per_level_reference=True) -> RunResult:
     os.makedirs(config.out_dir, exist_ok=True)
     csv_path = os.path.join(config.out_dir, f"{ex.name}_convergence.csv")
     summary_path = os.path.join(config.out_dir, f"{ex.name}_summary.txt")
-    _write_csv(csv_path, config, records, state, references, clusters)
+    _write_csv(csv_path, config, state.records, references)
     _write_summary(summary_path, config, state, ref_lams, lam_err, converged)
 
-    return RunResult(state=state, records=records, references=references,
-                     clusters=clusters, converged=converged,
-                     csv_path=csv_path, summary_path=summary_path)
+    return RunResult(state=state, references=references, clusters=clusters,
+                     converged=converged, csv_path=csv_path, summary_path=summary_path)
 
 
-def _write_csv(path, config, records, state, references, clusters):
-    plan = config.plan
-    history = state.history
+def _write_csv(path, config, records, references):
     with open(path, "w") as f:
         f.write(CSV_HEADER + "\n")
-        step_idx = 0
         for rec in records:
-            ref = references[rec.level - 1]
-            if rec.level == 1 and rec.iteration == 0:
-                anorm_errs = None
-                contractions = [0.0] * plan.nev
-            else:
-                diag = history[step_idx]
-                step_idx += 1
-                anorm_errs = diag.anorm_errors
-                contractions = diag.contractions
+            ref_lams = references[rec.level - 1][0]
             seconds = rec.seconds if config.timing else 0.0
-            for slot in range(plan.nev):
+            for slot in range(config.plan.nev):
                 lam = rec.lambdas[slot]
-                lam_err = abs(lam - ref[0][slot]) if ref is not None else float("nan")
-                aerr = float(anorm_errs[slot]) if anorm_errs is not None else float("nan")
-                con = contractions[slot] if slot < len(contractions) else 0.0
+                lam_err = abs(lam - ref_lams[slot])
+                aerr = rec.anorm_errors[slot] if rec.anorm_errors is not None else float("nan")
+                con = rec.contractions[slot] if rec.contractions is not None else 0.0
                 f.write(
                     f"{rec.level},{rec.iteration},{slot + 1},"
                     f"{lam:.17g},{lam_err:.17g},{aerr:.17g},{con:.17g},{seconds:.6f}\n"
@@ -379,24 +350,19 @@ def _write_summary(path, config, state, ref_lams, lam_err, converged):
 def timing_study(config: RunConfig):
     """Wall-clock seconds of multilevel_solve per finest-level size.
 
-    Runs the plan truncated to 1..n_levels levels and reports the
-    least-squares slope of log(seconds) against log(N_h). Writes a
-    "n_dof,seconds" CSV next to the convergence output.
+    Builds the hierarchy once, runs the solve on its first 1..n_levels
+    levels and reports the least-squares slope of log(seconds) against
+    log(N_h). Writes a "n_dof,seconds" CSV next to the convergence output.
     """
     if config.plan.n_levels < 3:
         raise ConfigError("timing study needs at least 3 levels")
     ex = config.example
-    coeff = ex.coefficient()
+    full = build_hierarchy(config.plan, ex.domain, ex.circles, ex.coefficient())
     points = []
     for n in range(1, config.plan.n_levels + 1):
-        plan = LevelPlan(
-            coarse_h=config.plan.coarse_h, h1=config.plan.h1,
-            beta=config.plan.beta, n_levels=n, L=config.plan.L,
-            theta=config.plan.theta, nev=config.plan.nev, mode=config.plan.mode,
-        )
-        hierarchy = build_hierarchy(plan, ex.domain, ex.circles, coeff)
+        hierarchy = Hierarchy(full.coarse_space, full.levels[:n])
         t0 = time.perf_counter()
-        multilevel_solve(hierarchy, plan, coarse_tol=config.coarse_tol,
+        multilevel_solve(hierarchy, config.plan, coarse_tol=config.coarse_tol,
                          seed=config.seed)
         seconds = time.perf_counter() - t0
         points.append((hierarchy.levels[-1].space.n_dof, seconds))

@@ -42,10 +42,6 @@ class SparseMatrix:
         self._eig_bounds = None
         self._ssor = {}
 
-    @classmethod
-    def from_coo(cls, n, rows, cols, vals):
-        return cls(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr())
-
     @property
     def n(self):
         return self.csr.shape[0]
@@ -59,9 +55,6 @@ class SparseMatrix:
 
     def diagonal(self):
         return self.csr.diagonal()
-
-    def scaled(self, c):
-        return SparseMatrix(self.csr * c)
 
     def eig_bounds(self):
         """Cached (lambda_min, lambda_max) estimates via power iteration.
@@ -133,14 +126,6 @@ class _SsorPreconditioner:
         return self._upper.solve(z)
 
 
-def spmv(A: SparseMatrix, x):
-    """y = A x with a dimension check."""
-    x = np.asarray(x)
-    if x.shape[0] != A.n:
-        raise LinalgError(f"dimension mismatch: matrix {A.n}, vector {x.shape[0]}")
-    return A.csr @ x
-
-
 def pcg_solve(A: SparseMatrix, rhs, x0=None, theta=1e-8, max_iter=None,
               precond=None, omega=1.6):
     """Conjugate gradients until the A-norm error contraction is <= theta.
@@ -207,17 +192,15 @@ def pcg_solve(A: SparseMatrix, rhs, x0=None, theta=1e-8, max_iter=None,
 def dense_sym_gen_eig(A, B):
     """All eigenpairs of A v = lambda B v, ascending, B-orthonormal.
 
-    B is reduced by Cholesky factorization; failure means the mass block
-    is not positive definite.
+    B is reduced by Cholesky factorization inside eigh; failure means the
+    mass block is not positive definite.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     try:
-        np.linalg.cholesky(B)
-    except np.linalg.LinAlgError:
-        raise LinalgError("mass block not SPD") from None
-    w, v = scipy.linalg.eigh(A, B)
-    return w, v
+        return scipy.linalg.eigh(A, B)
+    except np.linalg.LinAlgError as exc:
+        raise LinalgError(f"mass block not SPD: {exc}") from None
 
 
 def a_normalize(A: SparseMatrix, v):
@@ -295,12 +278,3 @@ def reference_eigensolve(A: SparseMatrix, B: SparseMatrix, nev, tol,
         payload=(np.array(lam[:nev]), X[:, :nev]),
     )
 
-
-def write_coo_matrix(A, path):
-    """Debug export in a matrixmarket-style symmetric coordinate format."""
-    coo = A.csr.tocoo() if isinstance(A, SparseMatrix) else sp.coo_matrix(A)
-    with open(path, "w") as f:
-        f.write("%%sym-coo\n")
-        f.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            f.write(f"{i} {j} {v:.17g}\n")

@@ -112,15 +112,6 @@ class Mesh:
         a, b, c = self.triangle_corners()
         return (a + b + c) / 3.0
 
-    def longest_edges(self):
-        a, b, c = self.triangle_corners()
-        e = np.stack([
-            np.linalg.norm(b - a, axis=1),
-            np.linalg.norm(c - b, axis=1),
-            np.linalg.norm(a - c, axis=1),
-        ])
-        return e.max(axis=0)
-
 
 @dataclass(frozen=True)
 class LocateResult:

@@ -6,7 +6,9 @@ level, carrying the state up with fine-to-fine interpolation.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .augsub import EigenState, aug_subspace_step
 from .errors import ConfigError
@@ -68,14 +70,22 @@ class Hierarchy:
 
 
 @dataclass
-class LevelRecord:
+class StepRecord:
+    """One step of multilevel_solve: the coarsest solve or one augmented step.
+
+    The per-slot fields are None on the coarsest record (level 1,
+    iteration 0); ``anorm_errors`` is also None on a level without an
+    error function. ``seconds`` times the solve or step alone.
+    """
+
     level: int
     iteration: int
-    lambdas: "object"
-    contractions: list
-    seconds: float
     n_dof: int
-    spmv_like: int  # nnz-proportional operation count for work accounting
+    lambdas: np.ndarray
+    contractions: list = None     # achieved PCG contraction per slot
+    pcg_iterations: list = None   # PCG iterations per slot
+    anorm_errors: np.ndarray = None
+    seconds: float = 0.0
 
 
 def _fitted_mesh(domain, circles, h, snap_fraction):
@@ -123,58 +133,39 @@ def coarsest_solve(level1: LevelData, nev, tol=1e-11, seed=0) -> EigenState:
 
 
 def multilevel_solve(hierarchy: Hierarchy, plan: LevelPlan, coarse_tol=1e-11,
-                     seed=0, records=None, error_fns=None) -> EigenState:
+                     seed=0, error_fns=None) -> EigenState:
     """Coarsest solve, then L augmented subspace steps per finer level.
 
     The eigenvalue approximations are carried across levels unchanged;
     eigenvectors are interpolated with the fine-to-fine transfer and
-    re-a-normalized. Appends one LevelRecord per (level, iteration) to
-    ``records`` when given. ``error_fns`` is an optional per-fine-level
-    list of callables mapping an eigenvector block to per-slot A-norm
-    errors, recorded in the step history.
+    re-a-normalized. The returned state holds one StepRecord per
+    (level, iteration) in ``records``. ``error_fns`` is an optional
+    per-fine-level list of callables mapping an eigenvector block to
+    per-slot A-norm errors; they run after each step's timed interval.
     """
     t0 = time.perf_counter()
     state = coarsest_solve(hierarchy.levels[0], plan.nev, tol=coarse_tol, seed=seed)
-    if records is not None:
-        records.append(LevelRecord(
-            level=1, iteration=0, lambdas=state.lambdas.copy(),
-            contractions=[], seconds=time.perf_counter() - t0,
-            n_dof=hierarchy.levels[0].space.n_dof,
-            spmv_like=hierarchy.levels[0].A_h.nnz,
-        ))
+    records = [StepRecord(level=1, iteration=0, n_dof=hierarchy.levels[0].space.n_dof,
+                          lambdas=state.lambdas.copy(),
+                          seconds=time.perf_counter() - t0)]
 
     for k, level in enumerate(hierarchy.levels[1:], start=2):
         vectors = level.transfer_prev @ state.vectors
         for j in range(vectors.shape[1]):
             vectors[:, j] = a_normalize(level.A_h, vectors[:, j])
-        state = EigenState(lambdas=state.lambdas.copy(), vectors=vectors,
-                           iteration=0, history=state.history)
+        state = EigenState(lambdas=state.lambdas.copy(), vectors=vectors, iteration=0)
         error_fn = error_fns[k - 1] if error_fns is not None else None
         for ell in range(plan.L):
             t1 = time.perf_counter()
-            state = aug_subspace_step(level.assembler, state, plan.theta,
-                                      error_fn=error_fn)
-            if records is not None:
-                records.append(LevelRecord(
-                    level=k, iteration=ell + 1, lambdas=state.lambdas.copy(),
-                    contractions=state.history[-1].contractions,
-                    seconds=time.perf_counter() - t1,
-                    n_dof=level.space.n_dof,
-                    spmv_like=level.A_h.nnz,
-                ))
+            state = aug_subspace_step(level.assembler, state, plan.theta)
+            seconds = time.perf_counter() - t1
+            records.append(StepRecord(
+                level=k, iteration=ell + 1, n_dof=level.space.n_dof,
+                lambdas=state.lambdas.copy(),
+                contractions=[r.achieved_contraction for r in state.reports],
+                pcg_iterations=[r.iterations for r in state.reports],
+                anorm_errors=None if error_fn is None else np.asarray(error_fn(state.vectors)),
+                seconds=seconds,
+            ))
+    state.records = records
     return state
-
-
-def work_accounting(records, border_dim):
-    """Per-level table backing the linear-complexity check.
-
-    Returns rows (level, n_dof, dense_eig_dim, spmv_like, seconds).
-    """
-    if not records:
-        raise ConfigError("no records to account")
-    table = {}
-    for r in records:
-        row = table.setdefault(r.level, [r.level, r.n_dof, border_dim, 0, 0.0])
-        row[3] += r.spmv_like
-        row[4] += r.seconds
-    return [table[k] for k in sorted(table)]

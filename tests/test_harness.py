@@ -14,7 +14,8 @@ from augeig.harness import (
     timing_study,
     unit_square,
 )
-from augeig.multilevel import LevelPlan
+from augeig.linalg import pcg_solve
+from augeig.multilevel import LevelPlan, build_hierarchy, multilevel_solve
 
 EXACT_LAMBDA1 = np.pi ** 2 / 2
 
@@ -205,7 +206,7 @@ def test_smoke_csv_shape(smoke_result):
 
 def test_smoke_errors_decrease(smoke_result):
     _, result = smoke_result
-    errs = [float(np.linalg.norm(d.anorm_errors)) for d in result.state.history]
+    errs = [float(np.linalg.norm(r.anorm_errors)) for r in result.state.records[1:]]
     assert errs[-1] < 1.05 * errs[0]
     assert errs[-1] < errs[0]
 
@@ -240,15 +241,28 @@ def test_csv_deterministic(tmp_path):
 
 # -- timing study ----------------------------------------------------------
 
-def test_timing_study_small(tmp_path):
+def test_timing_study_small(tmp_path, monkeypatch):
+    import augeig.harness as harness
+
+    builds = []
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return build_hierarchy(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_hierarchy", counting_build)
     cfg = load_config_text(tmp_path, (
         "example = unit_square\ncoarse_h = 0.5\nh1 = 0.25\nn_levels = 3\n"
         f"L = 1\nnev = 1\nout_dir = {tmp_path}\n"
     ))
     points, slope, path = timing_study(cfg)
+    assert len(builds) == 1  # one hierarchy, solved on its first 1, 2, 3 levels
     assert len(points) == 3
     dofs = [p[0] for p in points]
     assert dofs == sorted(dofs) and dofs[0] < dofs[-1]
+    full = build_hierarchy(cfg.plan, cfg.example.domain, cfg.example.circles,
+                           cfg.example.coefficient())
+    assert dofs == [level.space.n_dof for level in full.levels]
     lines = open(path).read().splitlines()
     assert lines[0] == "n_dof,seconds"
     assert len(lines) == 4
@@ -263,19 +277,26 @@ def test_timing_study_needs_three_levels(tmp_path):
         timing_study(cfg)
 
 
-def test_work_scales_with_iteration_count(tmp_path):
-    """Doubling L doubles the accumulated operator work per fine level."""
-    from augeig.multilevel import build_hierarchy, multilevel_solve
+def test_step_records_count_pcg_iterations(tmp_path, monkeypatch):
+    """Each step record holds the iterations its correction solves reported."""
+    import augeig.augsub as augsub
 
-    sums = []
-    for L in (2, 4):
-        cfg = load_config_text(tmp_path, (
-            "example = unit_square\ncoarse_h = 0.25\nh1 = 0.125\nn_levels = 2\n"
-            f"L = {L}\nnev = 1\nout_dir = {tmp_path}\n"
-        ))
-        hier = build_hierarchy(cfg.plan, cfg.example.domain, cfg.example.circles,
-                               cfg.example.coefficient())
-        records = []
-        multilevel_solve(hier, cfg.plan, coarse_tol=1e-11, records=records)
-        sums.append(sum(r.spmv_like for r in records if r.level == 2))
-    assert sums[1] == 2 * sums[0]
+    seen = []
+
+    def recording_pcg(*args, **kwargs):
+        x, report = pcg_solve(*args, **kwargs)
+        seen.append(report.iterations)
+        return x, report
+
+    monkeypatch.setattr(augsub, "pcg_solve", recording_pcg)
+    cfg = load_config_text(tmp_path, (
+        "example = unit_square\ncoarse_h = 0.25\nh1 = 0.125\nn_levels = 3\n"
+        f"L = 2\nnev = 2\nout_dir = {tmp_path}\n"
+    ))
+    hier = build_hierarchy(cfg.plan, cfg.example.domain, cfg.example.circles,
+                           cfg.example.coefficient())
+    state = multilevel_solve(hier, cfg.plan, coarse_tol=1e-11)
+    steps = state.records[1:]
+    assert len(steps) == 2 * cfg.plan.L
+    assert [its for r in steps for its in r.pcg_iterations] == seen
+    assert all(its > 0 for its in seen)

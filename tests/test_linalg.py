@@ -11,8 +11,6 @@ from augeig.linalg import (
     dense_sym_gen_eig,
     pcg_solve,
     reference_eigensolve,
-    spmv,
-    write_coo_matrix,
 )
 
 
@@ -45,14 +43,6 @@ def test_sparse_matrix_basics():
     assert A.n == 5
     assert A.nnz == 13
     assert np.allclose(A.diagonal(), 2.0)
-    assert np.allclose(A.scaled(2.0).toarray(), 2.0 * A.toarray())
-
-
-def test_spmv_dimension_check():
-    A = laplacian_1d(5)
-    with pytest.raises(LinalgError):
-        spmv(A, np.ones(4))
-    assert np.allclose(spmv(A, np.ones(5)), A.toarray() @ np.ones(5))
 
 
 def test_eig_bounds_bracket_spectrum():
@@ -221,7 +211,7 @@ def test_reference_scaling():
     B = SparseMatrix(sp.identity(n, format="csr"))
     c = 3.7
     l1, _ = reference_eigensolve(A, B, 2, 1e-12)
-    l2, _ = reference_eigensolve(A.scaled(c), B, 2, 1e-12)
+    l2, _ = reference_eigensolve(SparseMatrix(A.csr * c), B, 2, 1e-12)
     assert np.abs(l2 - c * l1).max() < 1e-9 * c
 
 
@@ -231,19 +221,3 @@ def test_reference_nev_guard():
     with pytest.raises(LinalgError):
         reference_eigensolve(A, B, 5, 1e-8)
 
-
-# -- debug export ----------------------------------------------------------
-
-def test_write_coo_matrix(tmp_path):
-    A = laplacian_1d(4)
-    path = tmp_path / "a.coo"
-    write_coo_matrix(A, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "%%sym-coo"
-    n, m, nnz = (int(s) for s in lines[1].split())
-    assert (n, m, nnz) == (4, 4, A.nnz)
-    dense = np.zeros((4, 4))
-    for line in lines[2:]:
-        i, j, v = line.split()
-        dense[int(i), int(j)] = float(v)
-    assert np.allclose(dense, A.toarray())

@@ -1,5 +1,7 @@
 """Hierarchy construction and the multilevel correction driver."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from augeig.multilevel import (
     build_hierarchy,
     coarsest_solve,
     multilevel_solve,
-    work_accounting,
 )
 
 EXACT_LAMBDA1 = np.pi ** 2 / 2  # first Dirichlet eigenvalue on (0,2)^2
@@ -75,22 +76,28 @@ def test_coarsest_solve_accuracy(square_hierarchy):
 
 def test_multilevel_converges_to_finest_reference(square_hierarchy):
     _, plan, hier = square_hierarchy
-    records = []
-    state = multilevel_solve(hier, plan, coarse_tol=1e-11, records=records)
+    state = multilevel_solve(hier, plan, coarse_tol=1e-11)
     finest = hier.levels[-1]
     ref_lams, _ = reference_eigensolve(finest.A_h, finest.B_h, 1, 1e-11)
     assert abs(state.lambdas[0] - ref_lams[0]) < 1e-5
     assert abs(state.lambdas[0] - EXACT_LAMBDA1) / EXACT_LAMBDA1 < 0.005
 
     # One record for the coarsest solve plus L per finer level.
+    records = state.records
     assert len(records) == 1 + plan.L * (len(hier.levels) - 1)
-    assert records[0].level == 1 and records[0].iteration == 0
+    first = records[0]
+    assert (first.level, first.iteration) == (1, 0)
+    assert first.contractions is None and first.pcg_iterations is None
+    assert first.anorm_errors is None
+    assert [(r.level, r.iteration) for r in records[1:]] == [
+        (k, i) for k in (2, 3) for i in (1, 2)]
     for rec in records:
         assert rec.n_dof == hier.levels[rec.level - 1].space.n_dof
-
-    rows = work_accounting(records, border_dim=hier.coarse_space.n_dof + plan.nev)
-    assert [row[0] for row in rows] == [1, 2, 3]
-    assert all(row[3] > 0 for row in rows)
+    for rec in records[1:]:
+        assert len(rec.contractions) == len(rec.pcg_iterations) == plan.nev
+        assert all(its > 0 for its in rec.pcg_iterations)
+        assert rec.anorm_errors is None  # no error functions given
+    assert np.array_equal(records[-1].lambdas, state.lambdas)
 
 
 def test_error_fn_history(square_hierarchy):
@@ -104,12 +111,20 @@ def test_error_fn_history(square_hierarchy):
 
     error_fns = [None, None, err]
     state = multilevel_solve(hier, plan, coarse_tol=1e-11, error_fns=error_fns)
-    finest_diags = state.history[-plan.L:]
-    errs = [float(d.anorm_errors[0]) for d in finest_diags]
+    assert all(r.anorm_errors is None for r in state.records if r.level < 3)
+    errs = [float(r.anorm_errors[0]) for r in state.records if r.level == 3]
     assert all(np.isfinite(errs))
     assert errs[-1] < errs[0]  # corrections reduce the finest-level error
 
 
-def test_work_accounting_requires_records():
-    with pytest.raises(ConfigError):
-        work_accounting([], border_dim=3)
+def test_step_seconds_exclude_error_measurement(square_hierarchy):
+    _, plan, hier = square_hierarchy
+    delay = 0.2
+
+    def slow(V):
+        time.sleep(delay)
+        return np.zeros(V.shape[1])
+
+    state = multilevel_solve(hier, plan, coarse_tol=1e-11, error_fns=[slow] * 3)
+    assert all(r.anorm_errors is not None for r in state.records[1:])
+    assert all(r.seconds < delay for r in state.records)
