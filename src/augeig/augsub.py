@@ -43,8 +43,7 @@ def correction_solve(A_h: SparseMatrix, B_h: SparseMatrix, state: EigenState,
     reports = []
     for j in range(m):
         rhs = state.lambdas[j] * (B_h.csr @ state.vectors[:, j])
-        x, report = pcg_solve(A_h, rhs, x0=state.vectors[:, j].copy(),
-                              theta=theta, precond="ssor")
+        x, report = pcg_solve(A_h, rhs, x0=state.vectors[:, j].copy(), theta=theta)
         U[:, j] = x
         reports.append(report)
 

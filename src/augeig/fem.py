@@ -149,14 +149,6 @@ def assemble_mass(space: FeSpace) -> SparseMatrix:
     return _scatter(mesh, local, space.node_to_dof, space.n_dof)
 
 
-def assemble_mass_full(mesh: Mesh) -> SparseMatrix:
-    """Mass matrix over all nodes, boundary included (used for checks)."""
-    _, areas = _p1_gradients(mesh)
-    pattern = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    local = areas[:, None, None] * pattern
-    return _scatter(mesh, local, np.arange(mesh.n_nodes), mesh.n_nodes)
-
-
 def a_norm(A, v):
     """Energy norm sqrt(v^T A v); rejects radicands below -1e-14."""
     v = np.asarray(v)
@@ -166,6 +158,15 @@ def a_norm(A, v):
         raise LinalgError(f"negative radicand {q:g}: matrix is not SPD")
     return np.sqrt(max(q, 0.0))
 
+
+def _basis_at(space: FeSpace, tri, values) -> sp.csr_matrix:
+    """Sparse (n, N) matrix whose row i holds values[i] (n, 3) at the free
+    dofs of triangle tri[i]'s vertices; zero values are dropped."""
+    dofs = space.node_to_dof[space.mesh.triangles[tri]]
+    rows = np.broadcast_to(np.arange(len(dofs))[:, None], dofs.shape)
+    keep = (dofs >= 0) & (values != 0.0)
+    return sp.csr_matrix((values[keep], (rows[keep], dofs[keep])),
+                         shape=(len(dofs), space.n_dof))
 
 
 def build_transfer(coarse: FeSpace, fine: FeSpace) -> sp.csr_matrix:
@@ -177,26 +178,10 @@ def build_transfer(coarse: FeSpace, fine: FeSpace) -> sp.csr_matrix:
     there (at most 3 nonzeros). Clamped (snapped-to-nearest) locations
     are permitted.
     """
-    cmesh = coarse.mesh
-    rows, cols, vals = [], [], []
-    for f_dof, node in enumerate(fine.free_nodes):
-        res = locate_point(cmesh, fine.mesh.nodes[node])
-        verts = cmesh.triangles[res.triangle_index]
-        for v, w in zip(verts, res.barycentric):
-            c_dof = coarse.node_to_dof[v]
-            if c_dof >= 0 and w != 0.0:
-                rows.append(f_dof)
-                cols.append(c_dof)
-                vals.append(w)
-    P = sp.coo_matrix((vals, (rows, cols)), shape=(fine.n_dof, coarse.n_dof))
-    return P.tocsr()
-
-
-def _csr(rows, cols, vals, shape):
-    """CSR from broadcastable (rows, cols, vals); columns < 0 are dropped."""
-    rows, cols, vals = np.broadcast_arrays(rows, cols, vals)
-    keep = cols >= 0
-    return sp.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape)
+    located = [locate_point(coarse.mesh, p) for p in fine.mesh.nodes[fine.free_nodes]]
+    tri = np.array([res.triangle_index for res in located], dtype=np.int64)
+    bary = np.array([res.barycentric for res in located])
+    return _basis_at(coarse, tri, bary)
 
 
 class CrossAssembler:
@@ -252,21 +237,18 @@ class CrossAssembler:
         cgrads, _ = _p1_gradients(cmesh)
         cgrads = cgrads[tri]
 
-        n_q = len(mids)
-        rows = np.arange(n_q)[:, None]
-        cdofs = self.coarse.node_to_dof[cmesh.triangles[tri]]
-        coarse_shape = (n_q, self.coarse.n_dof)
-        Phi = _csr(rows, cdofs, barycentric(cmesh, tri, mids), coarse_shape)
-        Gx = _csr(rows, cdofs, cgrads[..., 0], coarse_shape)
-        Gy = _csr(rows, cdofs, cgrads[..., 1], coarse_shape)
+        Phi = _basis_at(self.coarse, tri, barycentric(cmesh, tri, mids))
+        Gx = _basis_at(self.coarse, tri, cgrads[..., 0])
+        Gy = _basis_at(self.coarse, tri, cgrads[..., 1])
 
+        # Row (t, e) of Dx, Dy holds fine triangle t's basis gradients, and
+        # of Mid the value 1/2 at both ends of its edge e.
         fgrads, _ = _p1_gradients(fmesh)
-        fdofs = self.fine.node_to_dof[fmesh.triangles]
-        frows = rows.reshape(-1, 3, 1)
-        fine_shape = (n_q, self.fine.n_dof)
-        Dx = _csr(frows, fdofs[:, None, :], fgrads[:, None, :, 0], fine_shape)
-        Dy = _csr(frows, fdofs[:, None, :], fgrads[:, None, :, 1], fine_shape)
-        Mid = _csr(frows, fdofs[:, [[0, 1], [1, 2], [2, 0]]], 0.5, fine_shape)
+        ftri = np.repeat(np.arange(fmesh.n_triangles), 3)
+        Dx = _basis_at(self.fine, ftri, fgrads[ftri, :, 0])
+        Dy = _basis_at(self.fine, ftri, fgrads[ftri, :, 1])
+        mid = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+        Mid = _basis_at(self.fine, ftri, np.tile(mid, (fmesh.n_triangles, 1)))
 
         w = np.repeat(fmesh.signed_areas() / 3.0, 3)
         W = sp.diags(w)
@@ -310,15 +292,3 @@ class CrossAssembler:
                 "bordered mass matrix is not SPD: u_tilde columns are not independent"
             ) from None
         return sys
-
-
-def assemble_cross(coarse, fine, coeff, u_tilde, mode="galerkin",
-                   A_h=None, B_h=None, transfer=None) -> BorderedSystem:
-    """One-shot bordered assembly; see CrossAssembler for the cached form."""
-    if A_h is None:
-        A_h = assemble_stiffness(fine, coeff)
-    if B_h is None:
-        B_h = assemble_mass(fine)
-    if transfer is None:
-        transfer = build_transfer(coarse, fine)
-    return CrossAssembler(coarse, fine, coeff, A_h, B_h, transfer, mode).assemble(u_tilde)

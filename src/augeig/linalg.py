@@ -20,12 +20,15 @@ from .errors import ConvergenceError, LinalgError
 _LMAX_INFLATE = 1.10
 _LMIN_DEFLATE = 0.50
 
+# SSOR relaxation factor of the PCG preconditioner.
+_SSOR_OMEGA = 1.6
+
 
 class SparseMatrix:
     """Square symmetric sparse matrix in compressed-row form.
 
-    Immutable after construction; spectrum estimates and preconditioner
-    factorizations are cached on the instance.
+    Immutable after construction; spectrum estimates and the SSOR
+    preconditioner are cached on the instance.
     """
 
     def __init__(self, csr):
@@ -40,7 +43,7 @@ class SparseMatrix:
             raise LinalgError("matrix is not numerically symmetric")
         self.csr = csr
         self._eig_bounds = None
-        self._ssor = {}
+        self._ssor = None
 
     @property
     def n(self):
@@ -88,17 +91,15 @@ class SparseMatrix:
             self._eig_bounds = (lmin, lmax)
         return self._eig_bounds
 
-    def ssor(self, omega=1.6):
-        if omega not in self._ssor:
-            self._ssor[omega] = _SsorPreconditioner(self.csr, omega)
-        return self._ssor[omega]
+    def ssor(self):
+        if self._ssor is None:
+            self._ssor = _SsorPreconditioner(self.csr)
+        return self._ssor
 
 
 @dataclass
 class SolveReport:
     iterations: int
-    initial_residual_a: float
-    final_residual_a: float
     achieved_contraction: float
     breakdown: bool = False
 
@@ -106,10 +107,11 @@ class SolveReport:
 class _SsorPreconditioner:
     """Symmetric SOR preconditioner applied through triangular solves."""
 
-    def __init__(self, csr, omega):
+    def __init__(self, csr):
+        omega = _SSOR_OMEGA
         d = csr.diagonal()
         if (d <= 0).any():
-            raise LinalgError("SSOR requires a positive diagonal")
+            raise LinalgError("SSOR requires a positive diagonal: matrix is not SPD")
         n = csr.shape[0]
         dw = sp.diags(d / omega)
         lower = sp.tril(csr, k=-1, format="csc") + dw
@@ -126,9 +128,9 @@ class _SsorPreconditioner:
         return self._upper.solve(z)
 
 
-def pcg_solve(A: SparseMatrix, rhs, x0=None, theta=1e-8, max_iter=None,
-              precond=None, omega=1.6):
-    """Conjugate gradients until the A-norm error contraction is <= theta.
+def pcg_solve(A: SparseMatrix, rhs, x0=None, theta=1e-8):
+    """SSOR-preconditioned conjugate gradients until the A-norm error
+    contraction is <= theta.
 
     The contraction is enforced through the residual bound
     ||e_k||_A <= ||r_k|| / sqrt(lambda_min) against the lower bound
@@ -141,10 +143,9 @@ def pcg_solve(A: SparseMatrix, rhs, x0=None, theta=1e-8, max_iter=None,
     if rhs.shape[0] != A.n:
         raise LinalgError("dimension mismatch between matrix and right-hand side")
     x = np.zeros(A.n) if x0 is None else np.array(x0, dtype=float)
-    if max_iter is None:
-        max_iter = max(1000, 10 * A.n)
+    iteration_cap = max(1000, 10 * A.n)
 
-    M = A.ssor(omega) if precond == "ssor" else None
+    M = A.ssor()
 
     lmin, lmax = A.eig_bounds()
     if lmax <= 0:
@@ -156,16 +157,16 @@ def pcg_solve(A: SparseMatrix, rhs, x0=None, theta=1e-8, max_iter=None,
     r0_norm = np.linalg.norm(r)
     init_err = r0_norm / np.sqrt(lmax_up)
     if r0_norm == 0.0:
-        return x, SolveReport(0, 0.0, 0.0, 0.0)
+        return x, SolveReport(0, 0.0)
 
     # ||r_k|| <= target ensures the A-norm contraction <= theta.
     target = theta * r0_norm * np.sqrt(lmin_dn / lmax_up)
 
-    z = M.apply(r) if M else r
+    z = M.apply(r)
     p = z.copy()
     rz = r @ z
     k = 0
-    while k < max_iter:
+    while k < iteration_cap:
         Ap = A.csr @ p
         pAp = p @ Ap
         if pAp <= 0:
@@ -176,7 +177,7 @@ def pcg_solve(A: SparseMatrix, rhs, x0=None, theta=1e-8, max_iter=None,
         k += 1
         if np.linalg.norm(r) <= target:
             break
-        z = M.apply(r) if M else r
+        z = M.apply(r)
         rz_new = r @ z
         beta = rz_new / rz
         rz = rz_new
@@ -186,7 +187,7 @@ def pcg_solve(A: SparseMatrix, rhs, x0=None, theta=1e-8, max_iter=None,
     final_err = rk_norm / np.sqrt(lmin_dn)
     contraction = final_err / init_err
     breakdown = rk_norm > target
-    return x, SolveReport(k, init_err, final_err, contraction, breakdown)
+    return x, SolveReport(k, contraction, breakdown)
 
 
 def dense_sym_gen_eig(A, B):
@@ -268,8 +269,7 @@ def reference_eigensolve(A: SparseMatrix, B: SparseMatrix, nev, tol,
             if i < nev and res_rel[i] < tol / 10:
                 Y[:, i] = X[:, i] / li  # effectively converged, skip the solve
                 continue
-            y, _ = pcg_solve(A, BX[:, i], x0=X[:, i] / li,
-                             theta=inner_theta, precond="ssor")
+            y, _ = pcg_solve(A, BX[:, i], x0=X[:, i] / li, theta=inner_theta)
             Y[:, i] = y
         X = Y
 

@@ -302,9 +302,8 @@ class _Locator:
     the cell, in ascending triangle index, as one padded (cells, K)
     table. Every triangle that holds a point is then a candidate of the
     point's cell, so the first inside candidate is the first inside
-    triangle of a full scan. The scalar path scans all triangles below
-    1000 and uses the grid above; the batched path uses the grid at
-    every size. Points that no triangle holds are clamped by a full scan.
+    triangle of a full scan. Points that no triangle holds are clamped
+    by a full scan.
     """
 
     def __init__(self, mesh):
@@ -314,7 +313,6 @@ class _Locator:
         self.e1 = b - a
         self.e2 = c - a
         self.det = _cross2(self.e1, self.e2)
-        self.use_grid = mesh.n_triangles >= 1000
         self._build_grid()
 
     def _build_grid(self):
@@ -360,29 +358,21 @@ class _Locator:
 
     def locate(self, p):
         p = np.asarray(p, dtype=float)
-        if self.use_grid:
-            cell = self._cells(p)
-            res = self._best_inside(p, self.table[cell, :self.count[cell]])
-            if res is not None:
-                return res
-        all_idx = np.arange(self.mesh.n_triangles)
-        res = self._best_inside(p, all_idx)
-        if res is not None:
-            return res
-        lam = self._bary(p, all_idx)
-        violation = -lam.min(axis=1)
-        best = int(np.argmin(violation))
-        clipped = np.clip(lam[best], 0.0, None)
-        clipped /= clipped.sum()
-        return LocateResult(best, clipped, "snapped-to-nearest")
-
-    def _best_inside(self, p, idx):
+        cell = self._cells(p)
+        idx = self.table[cell, :self.count[cell]]
         lam = self._bary(p, idx)
-        inside = lam.min(axis=1) >= -_BARY_TOL
-        if not inside.any():
-            return None
-        pick = int(np.flatnonzero(inside)[0])
-        return LocateResult(int(idx[pick]), lam[pick], "inside")
+        inside = np.flatnonzero(lam.min(axis=1) >= -_BARY_TOL)
+        if len(inside):
+            return LocateResult(int(idx[inside[0]]), lam[inside[0]], "inside")
+        return LocateResult(*self._clamp(p), "snapped-to-nearest")
+
+    def _clamp(self, p):
+        """(triangle, barycentric) with the smallest barycentric violation,
+        the first on ties, coordinates clipped to >= 0 and renormalised."""
+        lam = self._bary(p, np.arange(self.mesh.n_triangles))
+        best = int(np.argmin(-lam.min(axis=1)))
+        clipped = np.clip(lam[best], 0.0, None)
+        return best, clipped / clipped.sum()
 
     def locate_many(self, points):
         n = len(points)
@@ -399,9 +389,8 @@ class _Locator:
             tri[s:s + len(p)] = cand[rows, pick]
             bary[s:s + len(p)] = lam[rows, pick]
             for i in np.flatnonzero(~ok[rows, pick]):
-                res = self.locate(p[i])
-                tri[s + i], bary[s + i] = res.triangle_index, res.barycentric
-                inside[s + i] = res.status == "inside"
+                tri[s + i], bary[s + i] = self._clamp(p[i])
+                inside[s + i] = False
         return tri, bary, inside
 
 
@@ -420,8 +409,10 @@ def _locator(mesh):
 def locate_point(mesh: Mesh, p) -> LocateResult:
     """Find the triangle containing p, or the nearest one if p is outside.
 
-    Total function: outside points are clamped to the triangle with the
-    smallest barycentric violation, ties broken by smallest triangle index.
+    Of several triangles containing p (on shared edges and vertices) the
+    smallest index wins. Total function: outside points are clamped to
+    the triangle with the smallest barycentric violation, ties broken by
+    smallest triangle index.
     """
     return _locator(mesh).locate(p)
 

@@ -15,6 +15,38 @@ def fitted_mesh(ex, h):
     return mesh.fitted_mesh(ex.domain, ex.circles, h)
 
 
+def full_scan_locate(m, points):
+    """Point location by a full scan, as an oracle for the grid locator.
+
+    Per point: the first triangle in ascending index whose barycentric
+    coordinates are all >= -_BARY_TOL, else the triangle with the
+    smallest violation (first on ties), its coordinates clipped to >= 0
+    and renormalised. Returns (triangle (n,), barycentric (n, 3),
+    inside (n,)).
+    """
+    a, b, c = m.triangle_corners()
+    e1, e2 = b - a, c - a
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    tri = np.empty(len(points), dtype=np.int64)
+    bary = np.empty((len(points), 3))
+    inside = np.empty(len(points), dtype=bool)
+    for i, p in enumerate(points):
+        d = p - a
+        l2 = (d[:, 0] * e2[:, 1] - d[:, 1] * e2[:, 0]) / det
+        l3 = (e1[:, 0] * d[:, 1] - e1[:, 1] * d[:, 0]) / det
+        lam = np.column_stack([1.0 - l2 - l3, l2, l3])
+        worst = lam.min(axis=1)
+        hits = np.flatnonzero(worst >= -mesh._BARY_TOL)
+        inside[i] = len(hits) > 0
+        tri[i] = hits[0] if inside[i] else np.argmax(worst)
+        bary[i] = lam[tri[i]]
+        if not inside[i]:
+            clipped = np.clip(bary[i], 0.0, None)
+            bary[i] = clipped / clipped.sum()
+    return tri, bary, inside
+
+
 @pytest.fixture(scope="session")
 def ex1():
     return example1()

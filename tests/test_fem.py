@@ -1,5 +1,7 @@
 """Element matrices, assembly, transfer operators and bordered assembly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,9 +11,7 @@ from augeig.fem import (
     Coefficient,
     CrossAssembler,
     a_norm,
-    assemble_cross,
     assemble_mass,
-    assemble_mass_full,
     assemble_stiffness,
     build_space,
     build_transfer,
@@ -21,7 +21,7 @@ from augeig.fem import (
 from augeig.linalg import SparseMatrix
 from augeig.mesh import Rect, generate_structured_mesh, locate_point
 
-from conftest import fitted_mesh
+from conftest import fitted_mesh, full_scan_locate
 
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -78,8 +78,10 @@ def test_coefficient_per_triangle(ex1):
 # -- global assembly -------------------------------------------------------
 
 def test_mass_integrates_constants():
+    # With no boundary nodes every node is a dof, so 1^T M 1 is the area.
     mesh = generate_structured_mesh(Rect(0, 0, 2, 2), 0.25)
-    M = assemble_mass_full(mesh)
+    mesh = dataclasses.replace(mesh, boundary_node=np.zeros(mesh.n_nodes, dtype=bool))
+    M = assemble_mass(build_space(mesh))
     ones = np.ones(mesh.n_nodes)
     assert abs(ones @ (M.csr @ ones) - 4.0) < 1e-12
 
@@ -171,6 +173,21 @@ def test_transfer_partition_of_unity(ex1):
     assert np.abs(sums[interior] - 1.0).max() < 1e-12
 
 
+@pytest.mark.parametrize("coarse_h, fine_h", [(2 / 17, 2 / 19), (2 / 19, 2 / 38)])
+def test_transfer_matches_full_scan_oracle(ex1, coarse_h, fine_h):
+    coarse = build_space(fitted_mesh(ex1, coarse_h))
+    fine = build_space(fitted_mesh(ex1, fine_h))
+    tri, bary, _ = full_scan_locate(coarse.mesh, fine.mesh.nodes[fine.free_nodes])
+    want = np.zeros((fine.n_dof, coarse.n_dof))
+    for f, (t, lam) in enumerate(zip(tri, bary)):
+        for v, w in zip(coarse.mesh.triangles[t], lam):
+            if coarse.node_to_dof[v] >= 0:
+                want[f, coarse.node_to_dof[v]] = w
+    P = build_transfer(coarse, fine)
+    assert P.nnz == np.count_nonzero(want)  # no stored zeros
+    assert np.array_equal(P.toarray(), want)
+
+
 # -- bordered (augmented-space) assembly -----------------------------------
 
 def _orthonormal_block(A_h, n, m, seed=0):
@@ -216,14 +233,19 @@ def test_cross_assembly_bad_mode(square_pair):
                        sp_["A_h"], sp_["B_h"], sp_["P"], mode="nope")
 
 
+def _bordered(coarse, fine, coeff, A_h, U, mode):
+    P = build_transfer(coarse, fine)
+    return CrossAssembler(coarse, fine, coeff, A_h, assemble_mass(fine), P, mode).assemble(U)
+
+
 def test_exact_equals_galerkin_on_nested_pair():
     coarse = build_space(generate_structured_mesh(Rect(0, 0, 2, 2), 0.5))
     fine = build_space(generate_structured_mesh(Rect(0, 0, 2, 2), 0.25))
     coeff = Coefficient({0: 1.0})
     A_h = assemble_stiffness(fine, coeff)
     U = _orthonormal_block(A_h, fine.n_dof, 2, seed=4)
-    sys_g = assemble_cross(coarse, fine, coeff, U, mode="galerkin")
-    sys_e = assemble_cross(coarse, fine, coeff, U, mode="exact")
+    sys_g = _bordered(coarse, fine, coeff, A_h, U, "galerkin")
+    sys_e = _bordered(coarse, fine, coeff, A_h, U, "exact")
     for blk in ("A_H", "a_h", "alpha", "B_H", "b_h", "beta"):
         diff = np.abs(getattr(sys_e, blk) - getattr(sys_g, blk)).max()
         assert diff < 1e-12, blk
@@ -272,7 +294,7 @@ def test_exact_matches_quadrature_oracle_on_nonnested_pair(ex1):
     coeff = ex1.coefficient()
     A_h = assemble_stiffness(fine, coeff)
     U = _orthonormal_block(A_h, fine.n_dof, 3, seed=5)
-    sys = assemble_cross(coarse, fine, coeff, U, mode="exact", A_h=A_h)
+    sys = _bordered(coarse, fine, coeff, A_h, U, "exact")
     for blk, want in _exact_oracle(coarse, fine, coeff, U).items():
         got = getattr(sys, blk)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), blk

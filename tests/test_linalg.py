@@ -60,7 +60,7 @@ def test_pcg_matches_dense_solve():
     for n in (5, 20, 50):
         A = SparseMatrix(sp.csr_matrix(random_spd(n, rng)))
         b = rng.standard_normal(n)
-        x, report = pcg_solve(A, b, theta=1e-12, precond="ssor")
+        x, report = pcg_solve(A, b, theta=1e-12)
         assert not report.breakdown
         assert np.linalg.norm(x - np.linalg.solve(A.toarray(), b)) < 1e-9
 
@@ -71,7 +71,7 @@ def test_pcg_contraction_guarantee():
     b = rng.standard_normal(120)
     for theta in (0.5, 0.1, 0.01):
         x_true = np.linalg.solve(A.toarray(), b)
-        x, report = pcg_solve(A, b, theta=theta, precond="ssor")
+        x, report = pcg_solve(A, b, theta=theta)
         assert not report.breakdown
         assert report.achieved_contraction <= theta
         # True A-norm contraction is bounded by the reported conservative one.
@@ -104,17 +104,14 @@ def test_pcg_rejects_dimension_mismatch():
 
 
 def test_pcg_detects_indefinite():
+    # A nonpositive diagonal stops the SSOR set-up before CG runs.
     A = SparseMatrix(sp.diags([1.0, -1.0]).tocsr())
-    with pytest.raises(LinalgError, match="SPD"):
+    with pytest.raises(LinalgError, match="not SPD"):
         pcg_solve(A, np.array([1.0, 1.0]), theta=0.5)
-
-
-def test_ssor_accelerates():
-    A = laplacian_1d(200)
-    b = np.ones(200)
-    _, plain = pcg_solve(A, b, theta=1e-8)
-    _, ssor = pcg_solve(A, b, theta=1e-8, precond="ssor")
-    assert ssor.iterations < plain.iterations
+    # A positive diagonal with eigenvalues 3 and -1 reaches CG's curvature guard.
+    A = SparseMatrix(sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
+    with pytest.raises(LinalgError, match=r"p\^T A p <= 0"):
+        pcg_solve(A, np.array([1.0, 1.0]), theta=0.5)
 
 
 # -- dense generalized eigensolver -----------------------------------------

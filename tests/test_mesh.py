@@ -18,7 +18,7 @@ from augeig.mesh import (
     write_mesh,
 )
 
-from conftest import fitted_mesh
+from conftest import fitted_mesh, full_scan_locate
 
 
 # -- structured generation -------------------------------------------------
@@ -201,9 +201,8 @@ def test_locate_reconstruction_small():
 
 
 def test_locate_reconstruction_grid_path(ex1):
-    # >= 1000 triangles exercises the background-grid bucketing.
+    # A fitted mesh of 3200 triangles, located through a 41 x 41 cell grid.
     mesh = fitted_mesh(ex1, 2 / 40)
-    assert mesh.n_triangles >= 1000
     _check_reconstruction(mesh)
 
 
@@ -249,11 +248,11 @@ def _location_probes(mesh, finer, rng):
 
 
 @pytest.mark.parametrize("h, finer_h, fitted", [
-    (2 / 17, 2 / 19, True),    # 578 triangles: locate_point scans
-    (2 / 40, 2 / 45, True),    # 3200 triangles: locate_point uses the grid
+    (2 / 17, 2 / 19, True),    # 578 triangles
+    (2 / 40, 2 / 45, True),    # 3200 triangles
     (2 / 25, 2 / 30, False),   # 1250 triangles, unfitted structured grid
 ])
-def test_locate_many_matches_locate_point(ex1, h, finer_h, fitted):
+def test_locate_matches_full_scan_oracle(ex1, h, finer_h, fitted):
     def make(size):
         if fitted:
             return fitted_mesh(ex1, size)
@@ -261,9 +260,13 @@ def test_locate_many_matches_locate_point(ex1, h, finer_h, fitted):
 
     mesh, finer = make(h), make(finer_h)
     pts = _location_probes(mesh, finer, np.random.default_rng(11))
+    want_tri, want_bary, want_inside = full_scan_locate(mesh, pts)
+    assert (~want_inside).sum() >= 100  # the outside points are clamped
     tri, bary, inside = locate_many(mesh, pts)
-    assert (~inside).sum() >= 100  # the outside points were clamped
-    for p, t, lam, ins in zip(pts, tri, bary, inside):
+    assert np.array_equal(tri, want_tri)
+    assert np.array_equal(bary, want_bary)
+    assert np.array_equal(inside, want_inside)
+    for p, t, lam, ins in zip(pts, want_tri, want_bary, want_inside):
         res = locate_point(mesh, p)
         assert res.triangle_index == t
         assert np.array_equal(res.barycentric, lam)
