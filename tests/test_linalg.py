@@ -114,6 +114,36 @@ def test_pcg_detects_indefinite():
         pcg_solve(A, np.array([1.0, 1.0]), theta=0.5)
 
 
+def _plain_cg_iterations(A, b, target):
+    """Unpreconditioned CG from zero; iterations until ||r|| <= target."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rr = r @ r
+    for k in range(1, 10 * len(b) + 1):
+        Ap = A.csr @ p
+        alpha = rr / (p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        rr_new = r @ r
+        if np.sqrt(rr_new) <= target:
+            return k
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    raise AssertionError("plain CG did not reach the target")
+
+
+def test_ssor_accelerates():
+    # pcg_solve always applies SSOR; plain CG must take more iterations to
+    # reach the residual that SSOR-preconditioned CG reached.
+    A = laplacian_1d(200)
+    b = np.ones(200)
+    x, ssor = pcg_solve(A, b, theta=1e-8)
+    assert not ssor.breakdown
+    plain = _plain_cg_iterations(A, b, np.linalg.norm(b - A.csr @ x))
+    assert ssor.iterations < plain
+
+
 # -- dense generalized eigensolver -----------------------------------------
 
 def test_dense_eig_identity_pair():

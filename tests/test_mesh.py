@@ -247,18 +247,25 @@ def _location_probes(mesh, finer, rng):
     ])
 
 
-@pytest.mark.parametrize("h, finer_h, fitted", [
+_LOCATION_MESHES = [
     (2 / 17, 2 / 19, True),    # 578 triangles
     (2 / 40, 2 / 45, True),    # 3200 triangles
     (2 / 25, 2 / 30, False),   # 1250 triangles, unfitted structured grid
-])
-def test_locate_matches_full_scan_oracle(ex1, h, finer_h, fitted):
+]
+
+
+def _location_pair(ex1, h, finer_h, fitted):
     def make(size):
         if fitted:
             return fitted_mesh(ex1, size)
         return generate_structured_mesh(ex1.domain, size)
 
-    mesh, finer = make(h), make(finer_h)
+    return make(h), make(finer_h)
+
+
+@pytest.mark.parametrize("h, finer_h, fitted", _LOCATION_MESHES)
+def test_locate_matches_full_scan_oracle(ex1, h, finer_h, fitted):
+    mesh, finer = _location_pair(ex1, h, finer_h, fitted)
     pts = _location_probes(mesh, finer, np.random.default_rng(11))
     want_tri, want_bary, want_inside = full_scan_locate(mesh, pts)
     assert (~want_inside).sum() >= 100  # the outside points are clamped
@@ -266,7 +273,15 @@ def test_locate_matches_full_scan_oracle(ex1, h, finer_h, fitted):
     assert np.array_equal(tri, want_tri)
     assert np.array_equal(bary, want_bary)
     assert np.array_equal(inside, want_inside)
-    for p, t, lam, ins in zip(pts, want_tri, want_bary, want_inside):
+
+
+@pytest.mark.parametrize("h, finer_h, fitted", _LOCATION_MESHES)
+def test_locate_many_matches_locate_point(ex1, h, finer_h, fitted):
+    mesh, finer = _location_pair(ex1, h, finer_h, fitted)
+    pts = _location_probes(mesh, finer, np.random.default_rng(11))
+    tri, bary, inside = locate_many(mesh, pts)
+    assert (~inside).sum() >= 100  # the outside points were clamped
+    for p, t, lam, ins in zip(pts, tri, bary, inside):
         res = locate_point(mesh, p)
         assert res.triangle_index == t
         assert np.array_equal(res.barycentric, lam)
