@@ -56,9 +56,6 @@ class SparseMatrix:
     def toarray(self):
         return self.csr.toarray()
 
-    def diagonal(self):
-        return self.csr.diagonal()
-
     def eig_bounds(self):
         """Cached (lambda_min, lambda_max) estimates via power iteration.
 
@@ -112,7 +109,6 @@ class _SsorPreconditioner:
         d = csr.diagonal()
         if (d <= 0).any():
             raise LinalgError("SSOR requires a positive diagonal: matrix is not SPD")
-        n = csr.shape[0]
         dw = sp.diags(d / omega)
         lower = sp.tril(csr, k=-1, format="csc") + dw
         upper = sp.triu(csr, k=1, format="csc") + dw
@@ -120,7 +116,6 @@ class _SsorPreconditioner:
         self._lower = spla.splu(lower, **opts)
         self._upper = spla.splu(upper, **opts)
         self._dscale = (d / omega) * (2.0 - omega) / omega
-        self.shape = (n, n)
 
     def apply(self, r):
         z = self._lower.solve(r)

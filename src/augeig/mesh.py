@@ -530,8 +530,7 @@ def read_mesh(path) -> Mesh:
 def meshes_equal(m1: Mesh, m2: Mesh) -> bool:
     """Bit-exact equality of coordinates, connectivity, tags and flags."""
     return (
-        m1.nodes.shape == m2.nodes.shape
-        and np.array_equal(m1.nodes, m2.nodes)
+        np.array_equal(m1.nodes, m2.nodes)
         and np.array_equal(m1.triangles, m2.triangles)
         and np.array_equal(m1.region_tag, m2.region_tag)
         and np.array_equal(m1.boundary_node, m2.boundary_node)

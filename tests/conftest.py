@@ -1,6 +1,12 @@
 """Shared fixtures: example geometries and small cached discretizations."""
 
-import numpy as np
+import os
+
+# One BLAS thread, as perfbench/run.py uses, set before numpy is imported
+# (OpenBLAS reads it once at load); a caller's own setting wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from augeig.augsub import EigenState

@@ -11,8 +11,18 @@ from augeig.augsub import (
     solve_bordered,
 )
 from augeig.errors import LinalgError
-from augeig.fem import BorderedSystem
+from augeig.fem import (
+    BorderedSystem,
+    CrossAssembler,
+    assemble_mass,
+    assemble_stiffness,
+    build_space,
+    build_transfer,
+)
 from augeig.harness import measure_errors
+from augeig.linalg import a_normalize, dense_sym_gen_eig, reference_eigensolve
+
+from conftest import fitted_mesh
 
 
 def _block_error(vectors, ref, clusters, A_h):
@@ -99,7 +109,9 @@ def _decoupled_system():
 def test_select_on_decoupled_system():
     sys = _decoupled_system()
     lambdas, u_H, xi = solve_bordered(sys)
-    assert np.allclose(lambdas, [2.0, 5.0, 10.0, 20.0], atol=1e-12)
+    # The spectrum is [2, 5, 10, 20]; solve_bordered returns the lowest
+    # min(2m, N - 1) = 3 pairs.
+    assert np.allclose(lambdas, [2.0, 5.0, 10.0], atol=1e-12)
     selected = select_eigenpairs(lambdas, u_H, xi, sys, 2)
     # Slot 0 tracks the border function with eigenvalue 2, slot 1 the one with 5.
     assert selected == [0, 1]
@@ -119,3 +131,47 @@ def test_select_vanishing_scores_raise():
     lambdas, u_H, xi = solve_bordered(sys)
     with pytest.raises(LinalgError, match="slot"):
         select_eigenpairs(lambdas, u_H, np.zeros_like(xi), sys, 2)
+
+
+@pytest.fixture(scope="module", params=["galerkin", "exact"])
+def ex1_bordered(request, ex1):
+    """The bordered system of a first step on the nonnested pair 2/17 -> 2/19.
+
+    The augmenting block is one correction of the interpolated coarse
+    eigenvectors, as aug_subspace_step builds it.
+    """
+    coeff = ex1.coefficient()
+    coarse = build_space(fitted_mesh(ex1, 2 / 17))
+    fine = build_space(fitted_mesh(ex1, 2 / 19))
+    A_h, B_h = assemble_stiffness(fine, coeff), assemble_mass(fine)
+    P = build_transfer(coarse, fine)
+    lams, vecs = reference_eigensolve(assemble_stiffness(coarse, coeff),
+                                      assemble_mass(coarse), 4, 1e-11)
+    state = EigenState(lambdas=lams,
+                       vectors=np.column_stack([a_normalize(A_h, v) for v in (P @ vecs).T]))
+    U, _ = correction_solve(A_h, B_h, state, theta=0.1)
+    return CrossAssembler(coarse, fine, coeff, A_h, B_h, P, request.param).assemble(U)
+
+
+def test_solve_bordered_matches_dense_oracle(ex1_bordered):
+    sys = ex1_bordered
+    lambdas, u_H, xi = solve_bordered(sys)
+    k = len(lambdas)
+    assert k == 2 * sys.m
+    w, V = dense_sym_gen_eig(sys.full_stiffness(), sys.full_mass())
+    assert (np.abs(lambdas - w[:k]) <= 1e-12 * np.abs(w[:k])).all()
+    X = np.vstack([u_H, xi])
+    assert np.abs(X.T @ sys.full_mass() @ X - np.eye(k)).max() <= 1e-12
+    # Selection over the whole dense spectrum picks the same candidates,
+    # so the lowest k hold every pair selection reaches.
+    n_H = sys.A_H.shape[0]
+    selected = select_eigenpairs(lambdas, u_H, xi, sys, sys.m)
+    assert selected == select_eigenpairs(w, V[:n_H], V[n_H:], sys, sys.m)
+    assert k - 1 not in selected
+
+
+def test_solve_bordered_is_repeatable(ex1_bordered):
+    first = solve_bordered(ex1_bordered)
+    second = solve_bordered(ex1_bordered)
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)

@@ -238,6 +238,19 @@ def _bordered(coarse, fine, coeff, A_h, U, mode):
     return CrossAssembler(coarse, fine, coeff, A_h, assemble_mass(fine), P, mode).assemble(U)
 
 
+@pytest.mark.parametrize("mode", ["galerkin", "exact"])
+def test_bordered_mass_guard_on_nonnested_pair(ex1, mode):
+    # The bordered solve assumes an SPD mass and never checks it, so the
+    # full Cholesky in assemble must reject an exactly repeated column.
+    coarse = build_space(fitted_mesh(ex1, 2 / 17))
+    fine = build_space(fitted_mesh(ex1, 2 / 19))
+    coeff = ex1.coefficient()
+    A_h = assemble_stiffness(fine, coeff)
+    u = _orthonormal_block(A_h, fine.n_dof, 1, seed=6)
+    with pytest.raises(LinalgError, match="bordered mass matrix is not SPD"):
+        _bordered(coarse, fine, coeff, A_h, np.column_stack([u, u]), mode)
+
+
 def test_exact_equals_galerkin_on_nested_pair():
     coarse = build_space(generate_structured_mesh(Rect(0, 0, 2, 2), 0.5))
     fine = build_space(generate_structured_mesh(Rect(0, 0, 2, 2), 0.25))

@@ -42,7 +42,7 @@ def test_sparse_matrix_basics():
     A = laplacian_1d(5)
     assert A.n == 5
     assert A.nnz == 13
-    assert np.allclose(A.diagonal(), 2.0)
+    assert np.allclose(A.csr.diagonal(), 2.0)
 
 
 def test_eig_bounds_bracket_spectrum():
