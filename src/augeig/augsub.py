@@ -64,13 +64,14 @@ def correction_solve(A_h: SparseMatrix, B_h: SparseMatrix, state: EigenState,
 def solve_bordered(sys):
     """The lowest k = min(2m, N_H + m - 1) bordered eigenpairs, ascending.
 
-    Shift-invert Lanczos at shift 0 (eigsh orders the pairs ascending); a
-    fixed start vector makes repeated calls bit-identical. Returns (lambdas,
-    coarse parts (N_H, k), border parts (m, k)), B-orthonormal.
+    Shift-invert Lanczos at shift 0 on the sparse pencil, so SuperLU
+    factors K (eigsh orders the pairs ascending); a fixed start vector
+    makes repeated calls bit-identical. Returns (lambdas, coarse parts
+    (N_H, k), border parts (m, k)), B-orthonormal.
     """
     K, n_H = sys.full_stiffness(), sys.A_H.shape[0]
-    w, V = eigsh(K, k=min(2 * sys.m, len(K) - 1), M=sys.full_mass(), sigma=0.0,
-                 which="LM", tol=0, v0=np.ones(len(K)))
+    w, V = eigsh(K, k=min(2 * sys.m, K.shape[0] - 1), M=sys.full_mass(), sigma=0.0,
+                 which="LM", tol=0, v0=np.ones(K.shape[0]))
     return w, V[:n_H], V[n_H:]
 
 

@@ -9,10 +9,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .errors import LinalgError
 from .linalg import SparseMatrix
 from .mesh import Mesh, barycentric, locate_many, locate_point
+
+# A step is rejected when lambda_min(beta - b_h^T B_H^-1 b_h) <= _SCHUR_TOL
+# * max diag(beta): healthy steps read 7e-7 or more, repeated columns 0.
+_SCHUR_TOL = 1e-10
 
 
 @dataclass
@@ -52,12 +57,12 @@ class Coefficient:
 
 @dataclass
 class BorderedSystem:
-    """Blocks of the (N_H + m)-dimensional augmented eigensystem."""
+    """Blocks of the (N_H + m)-dimensional augmented eigensystem; A_H, B_H sparse."""
 
-    A_H: np.ndarray
+    A_H: sp.csr_matrix
     a_h: np.ndarray
     alpha: np.ndarray
-    B_H: np.ndarray
+    B_H: sp.csr_matrix
     b_h: np.ndarray
     beta: np.ndarray
 
@@ -66,10 +71,10 @@ class BorderedSystem:
         return self.alpha.shape[0]
 
     def full_stiffness(self):
-        return np.block([[self.A_H, self.a_h], [self.a_h.T, self.alpha]])
+        return sp.bmat([[self.A_H, self.a_h], [self.a_h.T, self.alpha]], format="csc")
 
     def full_mass(self):
-        return np.block([[self.B_H, self.b_h], [self.b_h.T, self.beta]])
+        return sp.bmat([[self.B_H, self.b_h], [self.b_h.T, self.beta]], format="csc")
 
 
 def build_space(mesh: Mesh) -> FeSpace:
@@ -187,9 +192,9 @@ def build_transfer(coarse: FeSpace, fine: FeSpace) -> sp.csr_matrix:
 class CrossAssembler:
     """Bordered-system assembly for a fixed (coarse, fine) space pair.
 
-    The coarse blocks A_H, B_H do not depend on the augmenting fine
-    functions and are built once, as are exact mode's border operators;
-    each call assembles only the border column/corner blocks.
+    The coarse blocks A_H, B_H (symmetric CSR), B_H's factor and exact
+    mode's border operators do not depend on the augmenting fine functions
+    and are built once; each call assembles only the border blocks.
     """
 
     def __init__(self, coarse, fine, coeff, A_h, B_h, transfer, mode="galerkin"):
@@ -203,12 +208,21 @@ class CrossAssembler:
         self.P = transfer
         self.mode = mode
         if mode == "galerkin":
-            self.A_H = (self.P.T @ (A_h.csr @ self.P)).toarray()
-            self.B_H = (self.P.T @ (B_h.csr @ self.P)).toarray()
+            A_H = self.P.T @ (A_h.csr @ self.P)
+            B_H = self.P.T @ (B_h.csr @ self.P)
         else:
-            self.A_H, self.B_H, self._C_A, self._C_B = self._exact_operators()
-        self.A_H = 0.5 * (self.A_H + self.A_H.T)
-        self.B_H = 0.5 * (self.B_H + self.B_H.T)
+            A_H, B_H, self._C_A, self._C_B = self._exact_operators()
+        self.A_H = (0.5 * (A_H + A_H.T)).tocsr()
+        self.B_H = (0.5 * (B_H + B_H.T)).tocsr()
+        try:  # symmetric ordering, diagonal pivots: an LDL^T, all pivots > 0 iff SPD
+            lu = splu(self.B_H.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True})
+            spd = np.array_equal(lu.perm_r, lu.perm_c) and lu.U.diagonal().min() > 0.0
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            spd = False
+        if not spd:
+            raise LinalgError("coarse mass matrix is not SPD")
+        self._B_H_lu = lu
 
     # -- exact mode -----------------------------------------------------
 
@@ -254,8 +268,8 @@ class CrossAssembler:
         W = sp.diags(w)
         W_k = sp.diags(w * np.repeat(self.coeff.per_triangle(fmesh), 3))
         return (
-            (Gx.T @ W_k @ Gx + Gy.T @ W_k @ Gy).toarray(),
-            (Phi.T @ W @ Phi).toarray(),
+            Gx.T @ W_k @ Gx + Gy.T @ W_k @ Gy,
+            Phi.T @ W @ Phi,
             (Gx.T @ W_k @ Dx + Gy.T @ W_k @ Dy).tocsr(),
             (Phi.T @ W @ Mid).tocsr(),
         )
@@ -281,14 +295,10 @@ class CrossAssembler:
             a_h = self._C_A @ U
             b_h = self._C_B @ U
 
-        sys = BorderedSystem(
-            A_H=self.A_H, a_h=a_h, alpha=0.5 * (alpha + alpha.T),
-            B_H=self.B_H, b_h=b_h, beta=0.5 * (beta + beta.T),
-        )
-        try:
-            np.linalg.cholesky(sys.full_mass())
-        except np.linalg.LinAlgError:
-            raise LinalgError(
-                "bordered mass matrix is not SPD: u_tilde columns are not independent"
-            ) from None
+        sys = BorderedSystem(A_H=self.A_H, a_h=a_h, alpha=0.5 * (alpha + alpha.T),
+                             B_H=self.B_H, b_h=b_h, beta=0.5 * (beta + beta.T))
+        S = sys.beta - b_h.T @ self._B_H_lu.solve(b_h)
+        if np.linalg.eigvalsh(0.5 * (S + S.T))[0] <= _SCHUR_TOL * np.diag(sys.beta).max():
+            raise LinalgError("bordered mass matrix is not SPD: "
+                              "u_tilde columns are not independent")
         return sys

@@ -53,9 +53,6 @@ class SparseMatrix:
     def nnz(self):
         return self.csr.nnz
 
-    def toarray(self):
-        return self.csr.toarray()
-
     def eig_bounds(self):
         """Cached (lambda_min, lambda_max) estimates via power iteration.
 

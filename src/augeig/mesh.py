@@ -185,12 +185,15 @@ def _check_circles(mesh, circles):
                 raise GeometryError("interface circles must not overlap")
 
 
-def _unique_edges(triangles):
+def _unique_edges(triangles, n_nodes):
+    """Every edge once as a sorted node pair (a, b), in lexicographic order;
+    the key a * n_nodes + b turns np.unique(edges, axis=0) into a 1-D unique."""
     edges = np.concatenate(
         [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
     )
     edges.sort(axis=1)
-    return np.unique(edges, axis=0)
+    keys = np.unique(edges[:, 0] * n_nodes + edges[:, 1])
+    return np.column_stack([keys // n_nodes, keys % n_nodes])
 
 
 def fit_interfaces(mesh: Mesh, circles, snap_fraction=DEFAULT_SNAP_FRACTION) -> Mesh:
@@ -208,7 +211,7 @@ def fit_interfaces(mesh: Mesh, circles, snap_fraction=DEFAULT_SNAP_FRACTION) -> 
     if not circles:
         return mesh
     _check_circles(mesh, circles)
-    edges = _unique_edges(mesh.triangles)
+    edges = _unique_edges(mesh.triangles, mesh.n_nodes)
 
     frac = snap_fraction
     cap_scale = 1.0

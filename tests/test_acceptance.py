@@ -220,7 +220,7 @@ def test_criterion_7_kernel_oracles():
         b = rng.standard_normal(n)
         x, report = pcg_solve(M, b, theta=1e-12)
         assert not report.breakdown
-        pcg_diff = max(pcg_diff, np.linalg.norm(x - np.linalg.solve(M.toarray(), b)))
+        pcg_diff = max(pcg_diff, np.linalg.norm(x - np.linalg.solve(M.csr.toarray(), b)))
 
     ok = nested_diff < 1e-12 and eig_diff < 1e-8 and pcg_diff < 1e-9
     _criterion(7, ok, f"nested assembly diff {nested_diff:.1e}, "
@@ -239,8 +239,8 @@ def test_criterion_8_structural_invariants(ex1, tmp_path):
     A = assemble_stiffness(space, ex1.coefficient())
     B = assemble_mass(space)
     try:
-        np.linalg.cholesky(A.toarray())
-        np.linalg.cholesky(B.toarray())
+        np.linalg.cholesky(A.csr.toarray())
+        np.linalg.cholesky(B.csr.toarray())
         checks["spd"] = True
     except np.linalg.LinAlgError:
         checks["spd"] = False

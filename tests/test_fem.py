@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from augeig import harness
 from augeig.errors import LinalgError
 from augeig.fem import (
     Coefficient,
@@ -102,7 +103,7 @@ def test_stiffness_matches_dense_reference():
     mesh = generate_structured_mesh(Rect(0, 0, 2, 2), 0.5)
     space = build_space(mesh)
     coeff = Coefficient({0: 1.0})
-    A = assemble_stiffness(space, coeff).toarray()
+    A = assemble_stiffness(space, coeff).csr.toarray()
     dense = np.zeros((mesh.n_nodes, mesh.n_nodes))
     for tri in mesh.triangles:
         K = local_stiffness(mesh.nodes[tri])
@@ -205,10 +206,11 @@ def test_bordered_blocks_galerkin(square_pair):
     U = _orthonormal_block(sp_["A_h"], sp_["fine"].n_dof, 2)
     sys = sp_["assembler"].assemble(U)
     P = sp_["P"]
-    assert np.allclose(sys.A_H, (P.T @ (sp_["A_h"].csr @ P)).toarray(), atol=1e-12)
+    assert np.allclose(sys.A_H.toarray(), (P.T @ (sp_["A_h"].csr @ P)).toarray(), atol=1e-12)
     assert np.allclose(sys.alpha, np.eye(2), atol=1e-10)
-    assert np.allclose(sys.full_stiffness(), sys.full_stiffness().T)
-    np.linalg.cholesky(sys.full_mass())  # SPD
+    K = sys.full_stiffness().toarray()
+    assert np.allclose(K, K.T)
+    np.linalg.cholesky(sys.full_mass().toarray())  # SPD
 
 
 def test_bordered_rejects_dependent_columns(square_pair):
@@ -233,6 +235,17 @@ def test_cross_assembly_bad_mode(square_pair):
                        sp_["A_h"], sp_["B_h"], sp_["P"], mode="nope")
 
 
+def test_cross_assembly_rejects_singular_coarse_mass():
+    # A fine mesh coarser than the coarse one leaves coarse dofs with no
+    # fine node in their support, so P^T B_h P is singular.
+    coarse = build_space(generate_structured_mesh(Rect(0, 0, 2, 2), 0.25))
+    fine = build_space(generate_structured_mesh(Rect(0, 0, 2, 2), 0.5))
+    coeff = Coefficient({0: 1.0})
+    with pytest.raises(LinalgError, match="coarse mass matrix is not SPD"):
+        CrossAssembler(coarse, fine, coeff, assemble_stiffness(fine, coeff),
+                       assemble_mass(fine), build_transfer(coarse, fine))
+
+
 def _bordered(coarse, fine, coeff, A_h, U, mode):
     P = build_transfer(coarse, fine)
     return CrossAssembler(coarse, fine, coeff, A_h, assemble_mass(fine), P, mode).assemble(U)
@@ -251,6 +264,28 @@ def test_bordered_mass_guard_on_nonnested_pair(ex1, mode):
         _bordered(coarse, fine, coeff, A_h, np.column_stack([u, u]), mode)
 
 
+@pytest.mark.parametrize("example, coarse_h, fine_h, mode", [
+    ("unit_square", 0.25, 1 / 32, "galerkin"),
+    ("example1", 2 / 17, 2 / 19, "galerkin"),
+    ("example1", 2 / 17, 2 / 19, "exact"),
+    ("example2", 2 / 36, 2 / 40, "galerkin"),
+])
+def test_bordered_mass_guard_rejects_every_repeated_column(example, coarse_h, fine_h, mode):
+    # A full Cholesky of the bordered mass accepted [u, u] for some of
+    # these seeds by rounding luck; the Schur-complement threshold must not.
+    ex = getattr(harness, example)()
+    coarse = build_space(fitted_mesh(ex, coarse_h))
+    fine = build_space(fitted_mesh(ex, fine_h))
+    coeff = ex.coefficient()
+    A_h = assemble_stiffness(fine, coeff)
+    asm = CrossAssembler(coarse, fine, coeff, A_h, assemble_mass(fine),
+                         build_transfer(coarse, fine), mode)
+    for seed in range(10):
+        u = _orthonormal_block(A_h, fine.n_dof, 1, seed=seed)
+        with pytest.raises(LinalgError, match="bordered mass matrix is not SPD"):
+            asm.assemble(np.column_stack([u, u]))
+
+
 def test_exact_equals_galerkin_on_nested_pair():
     coarse = build_space(generate_structured_mesh(Rect(0, 0, 2, 2), 0.5))
     fine = build_space(generate_structured_mesh(Rect(0, 0, 2, 2), 0.25))
@@ -259,6 +294,8 @@ def test_exact_equals_galerkin_on_nested_pair():
     U = _orthonormal_block(A_h, fine.n_dof, 2, seed=4)
     sys_g = _bordered(coarse, fine, coeff, A_h, U, "galerkin")
     sys_e = _bordered(coarse, fine, coeff, A_h, U, "exact")
+    for sys in (sys_g, sys_e):  # the assembler's own coarse blocks
+        assert sp.issparse(sys.A_H) and sp.issparse(sys.B_H)
     for blk in ("A_H", "a_h", "alpha", "B_H", "b_h", "beta"):
         diff = np.abs(getattr(sys_e, blk) - getattr(sys_g, blk)).max()
         assert diff < 1e-12, blk

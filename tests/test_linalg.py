@@ -62,7 +62,7 @@ def test_pcg_matches_dense_solve():
         b = rng.standard_normal(n)
         x, report = pcg_solve(A, b, theta=1e-12)
         assert not report.breakdown
-        assert np.linalg.norm(x - np.linalg.solve(A.toarray(), b)) < 1e-9
+        assert np.linalg.norm(x - np.linalg.solve(A.csr.toarray(), b)) < 1e-9
 
 
 def test_pcg_contraction_guarantee():
@@ -70,7 +70,7 @@ def test_pcg_contraction_guarantee():
     rng = np.random.default_rng(2)
     b = rng.standard_normal(120)
     for theta in (0.5, 0.1, 0.01):
-        x_true = np.linalg.solve(A.toarray(), b)
+        x_true = np.linalg.solve(A.csr.toarray(), b)
         x, report = pcg_solve(A, b, theta=theta)
         assert not report.breakdown
         assert report.achieved_contraction <= theta

@@ -8,6 +8,7 @@ from augeig.mesh import (
     Circle,
     Mesh,
     Rect,
+    _unique_edges,
     classify_regions,
     fit_interfaces,
     generate_structured_mesh,
@@ -128,6 +129,15 @@ def test_fit_never_flattens_a_triangle(ex1):
         for c in ex1.circles:
             on = np.abs(c.signed_distance(fitted.nodes)) < 1e-12
             assert not on[fitted.triangles].all(axis=1).any()
+
+
+def test_unique_edges_matches_row_unique(ex1):
+    mesh = fitted_mesh(ex1, 2 / 35)
+    edges = np.concatenate([mesh.triangles[:, [0, 1]], mesh.triangles[:, [1, 2]],
+                            mesh.triangles[:, [2, 0]]])
+    want = np.unique(np.sort(edges, axis=1), axis=0)
+    got = _unique_edges(mesh.triangles, mesh.n_nodes)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_nonnested_levels(ex1):
