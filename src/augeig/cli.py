@@ -8,13 +8,15 @@ Exit codes: 0 success, 1 convergence failure, 2 usage or config error,
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .errors import AugeigError, ConfigError, GeometryError, MeshFormatError
-from .fem import CrossAssembler, assemble_mass, assemble_stiffness, build_space, build_transfer
+from .fem import CrossAssembler
 from .harness import EXAMPLES, load_config, run_example, timing_study
 from .mesh import fitted_mesh, write_mesh
+from .multilevel import build_hierarchy
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 1
@@ -57,7 +59,7 @@ def _cmd_generate(args):
 def _cmd_solve(args):
     config = load_config(args.config)
     if args.seed is not None:
-        config.seed = args.seed
+        config = replace(config, seed=args.seed)
     result = run_example(config)
     print(f"csv: {result.csv_path}")
     print(f"summary: {result.summary_path}")
@@ -68,7 +70,7 @@ def _cmd_solve(args):
 def _cmd_bench(args):
     config = load_config(args.config)
     if args.seed is not None:
-        config.seed = args.seed
+        config = replace(config, seed=args.seed)
     points, slope, path = timing_study(config)
     for n_dof, seconds in points:
         print(f"n_dof={n_dof} seconds={seconds:.3f}")
@@ -81,20 +83,18 @@ def _cmd_compare(args):
     config = load_config(args.config)
     ex = config.example
     coeff = ex.coefficient()
-    plan = config.plan
-
-    coarse = build_space(fitted_mesh(ex.domain, ex.circles, plan.coarse_h))
-    fine = build_space(fitted_mesh(ex.domain, ex.circles, plan.h1))
-    A_h = assemble_stiffness(fine, coeff)
-    B_h = assemble_mass(fine)
-    P = build_transfer(coarse, fine)
+    plan = replace(config.plan, n_levels=1, mode="galerkin")
+    hierarchy = build_hierarchy(plan, ex.domain, ex.circles, coeff)
+    level = hierarchy.levels[0]
+    exact = CrossAssembler(hierarchy.coarse_space, level.space, coeff, level.A_h, level.B_h,
+                           level.assembler.P, "exact")
 
     rng = np.random.default_rng(config.seed)
-    u = rng.standard_normal((fine.n_dof, 1))
-    u /= np.sqrt(u[:, 0] @ (A_h.csr @ u[:, 0]))
+    u = rng.standard_normal((level.space.n_dof, 1))
+    u /= np.sqrt(u[:, 0] @ (level.A_h.csr @ u[:, 0]))
 
-    sys_g = CrossAssembler(coarse, fine, coeff, A_h, B_h, P, "galerkin").assemble(u)
-    sys_e = CrossAssembler(coarse, fine, coeff, A_h, B_h, P, "exact").assemble(u)
+    sys_g = level.assembler.assemble(u)
+    sys_e = exact.assemble(u)
 
     print("max |exact - galerkin| per block:")
     for blk in ("A_H", "a_h", "alpha", "B_H", "b_h", "beta"):
@@ -124,7 +124,7 @@ def main(argv=None):
     }[args.command]
     try:
         return handler(args)
-    except (ConfigError, GeometryError, MeshFormatError, FileNotFoundError) as exc:
+    except (ConfigError, GeometryError, MeshFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AugeigError as exc:

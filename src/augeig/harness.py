@@ -4,7 +4,7 @@ emission and timing studies."""
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -27,7 +27,7 @@ class ExampleSpec:
     domain: Rect
     circles: list          # Circle per interior region
     circle_k: list         # coefficient value per circle
-    background_k: float
+    background_k: float = 1.0
     clusters: list = field(default_factory=list)  # 0-based, disjoint, sorted
 
     def coefficient(self):
@@ -37,6 +37,9 @@ class ExampleSpec:
         return Coefficient(values)
 
     def validate(self):
+        for k in [self.background_k, *self.circle_k]:
+            if not k > 0:
+                raise ConfigError(f"coefficient K must be positive, got {k}")
         for c in self.circles:
             if not c.strictly_inside(self.domain):
                 raise ConfigError(f"circle {c} is not strictly inside the domain")
@@ -60,7 +63,6 @@ def example1():
         domain=Rect(0.0, 0.0, 2.0, 2.0),
         circles=[Circle((2 / 3, 1.0), 1 / 3), Circle((4 / 3, 1.0), 1 / 3)],
         circle_k=[10.0, 10.0],
-        background_k=1.0,
         clusters=[[1, 2]],  # second and third eigenvalues are multiple
     )
 
@@ -73,7 +75,6 @@ def example2():
         domain=Rect(0.0, 0.0, 2.0, 2.0),
         circles=[Circle(c, 0.25) for c in centers],
         circle_k=[10.0] * 4,
-        background_k=1.0,
     )
 
 
@@ -84,7 +85,6 @@ def unit_square():
         domain=Rect(0.0, 0.0, 2.0, 2.0),
         circles=[],
         circle_k=[],
-        background_k=1.0,
         clusters=[[1, 2]],
     )
 
@@ -106,14 +106,26 @@ class RunConfig:
             raise ConfigError(f"tol_lambda must be positive, got {self.tol_lambda}")
         if not self.coarse_tol > 0:
             raise ConfigError(f"coarse_tol must be positive, got {self.coarse_tol}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         self.example.validate()
 
 
-_KNOWN_KEYS = {
-    "example", "domain", "circles", "background_k", "coarse_h", "h1", "beta",
-    "n_levels", "L", "theta", "nev", "mode", "tol_lambda", "coarse_tol",
-    "out_dir", "seed", "clusters", "timing",
-}
+# Config file keys: example= or a custom geometry, clusters, and one per
+# setting of LevelPlan and RunConfig, each read by its field's type.
+CUSTOM_GEOMETRY_KEYS = ("domain", "circles", "background_k")
+_PLAN_FIELDS = {f.name: f for f in fields(LevelPlan)}
+_RUN_FIELDS = {f.name: f for f in fields(RunConfig) if f.name not in ("example", "plan")}
+CONFIG_KEYS = {"example", "clusters", *CUSTOM_GEOMETRY_KEYS, *_PLAN_FIELDS, *_RUN_FIELDS}
+_READERS = {float: float, int: int, str: str, bool: {"on": True, "off": False}.__getitem__}
+
+
+def _read(key, text, reader):
+    """reader(text), a malformed value reported as a ConfigError."""
+    try:
+        return reader(text)
+    except (ValueError, TypeError, KeyError):
+        raise ConfigError(f"bad value for {key!r}: {text!r}") from None
 
 
 def _parse_kv(path):
@@ -126,7 +138,7 @@ def _parse_kv(path):
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, value = (s.strip() for s in line.split("=", 1))
-            if key not in _KNOWN_KEYS:
+            if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in pairs:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -140,10 +152,10 @@ def _parse_circles(text):
         part = part.strip()
         if not part:
             continue
-        fields = part.split(",")
-        if len(fields) != 4:
+        values = part.split(",")
+        if len(values) != 4:
             raise ConfigError(f"circle spec {part!r} must be 'cx,cy,r,K'")
-        cx, cy, r, k = (float(s) for s in fields)
+        cx, cy, r, k = (float(s) for s in values)
         circles.append(Circle((cx, cy), r))
         ks.append(k)
     return circles, ks
@@ -154,61 +166,49 @@ def _parse_clusters(text):
     for part in text.split(";"):
         part = part.strip()
         if part:
-            # 1-based in the file, 0-based internally
-            clusters.append([int(s) - 1 for s in part.split(",")])
+            slots = [int(s) for s in part.split(",")]
+            if min(slots) < 1:
+                raise ConfigError(f"cluster slots are 1-based, got {part!r}")
+            clusters.append([j - 1 for j in slots])  # 0-based internally
     return clusters
 
 
+def _load_example(pairs):
+    custom = pairs.keys() & set(CUSTOM_GEOMETRY_KEYS)
+    if "example" in pairs:
+        if pairs["example"] not in EXAMPLES:
+            raise ConfigError(f"unknown example {pairs['example']!r}")
+        if custom:
+            raise ConfigError("give either example= or a custom geometry, not both")
+        ex = EXAMPLES[pairs["example"]]()
+    elif "domain" not in pairs:
+        raise ConfigError("missing required key 'domain'")
+    else:
+        circles, ks = _read("circles", pairs.get("circles", ""), _parse_circles)
+        domain = _read("domain", pairs["domain"], lambda s: Rect(*map(float, s.split(","))))
+        ex = ExampleSpec(name="custom", domain=domain, circles=circles, circle_k=ks)
+    for key, reader in (("background_k", float), ("clusters", _parse_clusters)):
+        if key in pairs:
+            setattr(ex, key, _read(key, pairs[key], reader))
+    return ex
+
+
 def load_config(path) -> RunConfig:
-    """Strict key=value configuration with '#' comments."""
+    """Strict key=value configuration with '#' comments.
+
+    A setting the file leaves out takes its LevelPlan or RunConfig default.
+    """
     pairs = _parse_kv(path)
 
-    def take(key, conv, default=None):
-        if key not in pairs:
-            if default is None:
-                raise ConfigError(f"missing required key {key!r}")
-            return default
-        try:
-            return conv(pairs[key])
-        except (ValueError, TypeError):
-            raise ConfigError(f"bad value for {key!r}: {pairs[key]!r}") from None
+    def given(schema):
+        for name, f in schema.items():
+            if f.default is MISSING and name not in pairs:
+                raise ConfigError(f"missing required key {name!r}")
+        return {name: _read(name, pairs[name], _READERS[f.type])
+                for name, f in schema.items() if name in pairs}
 
-    if "example" in pairs:
-        name = pairs["example"]
-        if name not in EXAMPLES:
-            raise ConfigError(f"unknown example {name!r}")
-        ex = EXAMPLES[name]()
-        if "circles" in pairs or "domain" in pairs:
-            raise ConfigError("give either example= or a custom geometry, not both")
-    else:
-        dom = take("domain", lambda s: Rect(*(float(x) for x in s.split(","))))
-        circles, ks = _parse_circles(pairs.get("circles", ""))
-        ex = ExampleSpec(
-            name="custom", domain=dom, circles=circles, circle_k=ks,
-            background_k=take("background_k", float, 1.0),
-        )
-    if "clusters" in pairs:
-        ex.clusters = _parse_clusters(pairs["clusters"])
-
-    plan = LevelPlan(
-        coarse_h=take("coarse_h", float),
-        h1=take("h1", float),
-        beta=take("beta", float, 2.0),
-        n_levels=take("n_levels", int, 1),
-        L=take("L", int, 2),
-        theta=take("theta", float, 0.1),
-        nev=take("nev", int, 1),
-        mode=take("mode", str, "galerkin"),
-    )
-    return RunConfig(
-        example=ex,
-        plan=plan,
-        tol_lambda=take("tol_lambda", float, 1e-9),
-        coarse_tol=take("coarse_tol", float, 1e-11),
-        out_dir=take("out_dir", str, "out"),
-        seed=take("seed", int, 0),
-        timing=take("timing", lambda s: {"on": True, "off": False}[s], True),
-    )
+    plan = LevelPlan(**given(_PLAN_FIELDS))
+    return RunConfig(example=_load_example(pairs), plan=plan, **given(_RUN_FIELDS))
 
 
 def detect_clusters(ref_lams, explicit=None):

@@ -23,6 +23,10 @@ _LMIN_DEFLATE = 0.50
 # SSOR relaxation factor of the PCG preconditioner.
 _SSOR_OMEGA = 1.6
 
+# Reference eigensolver: sweep cap and the PCG contraction of its inner solves.
+_REF_MAX_SWEEPS = 500
+_REF_INNER_THETA = 0.05
+
 
 class SparseMatrix:
     """Square symmetric sparse matrix in compressed-row form.
@@ -207,8 +211,7 @@ def a_normalize(A: SparseMatrix, v):
     return v
 
 
-def reference_eigensolve(A: SparseMatrix, B: SparseMatrix, nev, tol,
-                         seed=0, max_sweeps=500, inner_theta=0.05):
+def reference_eigensolve(A: SparseMatrix, B: SparseMatrix, nev, tol, seed=0):
     """Smallest nev eigenpairs of A u = lambda B u.
 
     Block inverse-subspace iteration (block size nev + 5) with inner PCG
@@ -228,7 +231,7 @@ def reference_eigensolve(A: SparseMatrix, B: SparseMatrix, nev, tol,
     lam = np.ones(p)
     prev = np.full(nev, np.inf)
 
-    for sweep in range(max_sweeps):
+    for sweep in range(_REF_MAX_SWEEPS):
         # Rayleigh-Ritz on the current block.
         AX = A.csr @ X
         BX = B.csr @ X
@@ -261,12 +264,12 @@ def reference_eigensolve(A: SparseMatrix, B: SparseMatrix, nev, tol,
             if i < nev and res_rel[i] < tol / 10:
                 Y[:, i] = X[:, i] / li  # effectively converged, skip the solve
                 continue
-            y, _ = pcg_solve(A, BX[:, i], x0=X[:, i] / li, theta=inner_theta)
+            y, _ = pcg_solve(A, BX[:, i], x0=X[:, i] / li, theta=_REF_INNER_THETA)
             Y[:, i] = y
         X = Y
 
     raise ConvergenceError(
-        f"reference eigensolver did not converge in {max_sweeps} sweeps",
+        f"reference eigensolver did not converge in {_REF_MAX_SWEEPS} sweeps",
         payload=(np.array(lam[:nev]), X[:, :nev]),
     )
 

@@ -14,7 +14,7 @@ from .errors import GeometryError, MeshFormatError
 BACKGROUND_TAG = 0
 
 # Fraction of h_max used as the snap band around each interface circle.
-DEFAULT_SNAP_FRACTION = 0.45
+SNAP_FRACTION = 0.45
 
 _BARY_TOL = 1e-12
 
@@ -196,10 +196,10 @@ def _unique_edges(triangles, n_nodes):
     return np.column_stack([keys // n_nodes, keys % n_nodes])
 
 
-def fit_interfaces(mesh: Mesh, circles, snap_fraction=DEFAULT_SNAP_FRACTION) -> Mesh:
+def fit_interfaces(mesh: Mesh, circles) -> Mesh:
     """Radially project nodes near each circle onto it.
 
-    Nodes within snap_fraction * h_max of a circle move onto the circle.
+    Nodes within SNAP_FRACTION * h_max of a circle move onto the circle.
     A completion pass then snaps the nearer endpoint of every edge that
     still crosses a circle, so no triangle is left straddling an
     interface; without it the region assignment would carry an O(h)
@@ -213,7 +213,7 @@ def fit_interfaces(mesh: Mesh, circles, snap_fraction=DEFAULT_SNAP_FRACTION) -> 
     _check_circles(mesh, circles)
     edges = _unique_edges(mesh.triangles, mesh.n_nodes)
 
-    frac = snap_fraction
+    frac = SNAP_FRACTION
     cap_scale = 1.0
     for _attempt in range(5):
         nodes = mesh.nodes.copy()
@@ -439,11 +439,11 @@ def barycentric(mesh: Mesh, triangle_index, points):
     return _locator(mesh)._bary(np.asarray(points, dtype=float), triangle_index)
 
 
-def fitted_mesh(domain: Rect, circles, h, snap_fraction=DEFAULT_SNAP_FRACTION) -> Mesh:
+def fitted_mesh(domain: Rect, circles, h) -> Mesh:
     """Structured mesh of size h, fitted to and classified by the circles."""
     mesh = generate_structured_mesh(domain, h)
     if circles:
-        mesh = fit_interfaces(mesh, circles, snap_fraction=snap_fraction)
+        mesh = fit_interfaces(mesh, circles)
         mesh = classify_regions(mesh, circles)
     return mesh
 

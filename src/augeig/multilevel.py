@@ -21,7 +21,7 @@ from .fem import (
     build_transfer,
 )
 from .linalg import SparseMatrix, a_normalize, reference_eigensolve
-from .mesh import Mesh, classify_regions, fit_interfaces, generate_structured_mesh
+from .mesh import classify_regions, fit_interfaces, generate_structured_mesh
 
 
 @dataclass
@@ -40,10 +40,9 @@ class LevelPlan:
             raise ConfigError(f"h1={self.h1} must be smaller than coarse_h={self.coarse_h}")
         if not self.beta > 1:
             raise ConfigError(f"refinement ratio must exceed 1, got {self.beta}")
-        if self.n_levels < 1:
-            raise ConfigError("n_levels must be at least 1")
-        if self.L < 1:
-            raise ConfigError("L must be at least 1")
+        for name in ("n_levels", "L", "nev"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
         if not 0 < self.theta < 1:
             raise ConfigError(f"theta must lie in (0,1), got {self.theta}")
         if self.mode not in ("galerkin", "exact"):
@@ -55,7 +54,6 @@ class LevelPlan:
 
 @dataclass
 class LevelData:
-    mesh: Mesh
     space: FeSpace
     A_h: SparseMatrix
     B_h: SparseMatrix
@@ -88,39 +86,36 @@ class StepRecord:
     seconds: float = 0.0
 
 
-def _fitted_mesh(domain, circles, h, snap_fraction):
+def _fitted_mesh(domain, circles, h):
     # Same steps as mesh.fitted_mesh, called through this module's names:
     # perfbench/spans.py times mesh generation and fitting by patching
     # generate_structured_mesh, fit_interfaces and classify_regions here.
     mesh = generate_structured_mesh(domain, h)
     if circles:
-        mesh = fit_interfaces(mesh, circles, snap_fraction=snap_fraction)
+        mesh = fit_interfaces(mesh, circles)
         mesh = classify_regions(mesh, circles)
     return mesh
 
 
-def build_hierarchy(plan: LevelPlan, domain, circles, coeff,
-                    snap_fraction=0.45) -> Hierarchy:
+def build_hierarchy(plan: LevelPlan, domain, circles, coeff) -> Hierarchy:
     """Meshes, spaces, operators and transfers for every level.
 
     Each resolution is meshed independently (structured grid plus
     interface snapping), so successive levels are nonnested.
     """
-    coarse_mesh = _fitted_mesh(domain, circles, plan.coarse_h, snap_fraction)
-    coarse_space = build_space(coarse_mesh)
+    coarse_space = build_space(_fitted_mesh(domain, circles, plan.coarse_h))
 
     levels = []
     prev_space = None
     for h in plan.fine_sizes():
-        mesh = _fitted_mesh(domain, circles, h, snap_fraction)
-        space = build_space(mesh)
+        space = build_space(_fitted_mesh(domain, circles, h))
         A_h = assemble_stiffness(space, coeff)
         B_h = assemble_mass(space)
         P = build_transfer(coarse_space, space)
         assembler = CrossAssembler(coarse_space, space, coeff, A_h, B_h, P,
                                    mode=plan.mode)
         Q = build_transfer(prev_space, space) if prev_space is not None else None
-        levels.append(LevelData(mesh=mesh, space=space, A_h=A_h, B_h=B_h,
+        levels.append(LevelData(space=space, A_h=A_h, B_h=B_h,
                                 assembler=assembler, transfer_prev=Q))
         prev_space = space
     return Hierarchy(coarse_space=coarse_space, levels=levels)

@@ -29,7 +29,7 @@ from augeig.harness import (
 from augeig.linalg import SparseMatrix, a_normalize, pcg_solve, reference_eigensolve
 from augeig.multilevel import LevelPlan, build_hierarchy, multilevel_solve
 
-from conftest import fitted_mesh
+from conftest import eigsh_reference, fitted_mesh
 from test_linalg import charpoly_roots, random_spd
 
 EXACT_L1 = np.pi ** 2 / 2       # (0,2)^2 Dirichlet Laplacian, first eigenvalue
@@ -41,7 +41,7 @@ def _criterion(num, ok, detail):
     assert ok, f"criterion {num}: {detail}"
 
 
-def _contraction_study(ex, coarse_h, fine_h, steps, floor, ref_tol, nev=4):
+def _contraction_study(ex, coarse_h, fine_h, steps, floor, nev=4):
     """Geometric-mean contraction of the block A-norm error on a fixed fine mesh.
 
     Starts from the interpolated coarse eigenpairs and measures the ratio
@@ -53,7 +53,7 @@ def _contraction_study(ex, coarse_h, fine_h, steps, floor, ref_tol, nev=4):
     hier = build_hierarchy(plan, ex.domain, ex.circles, ex.coefficient())
     lev = hier.levels[0]
     asm = lev.assembler
-    ref = reference_eigensolve(lev.A_h, lev.B_h, nev, ref_tol)
+    ref = eigsh_reference(lev.A_h, lev.B_h, nev)
     clusters = detect_clusters(ref[0])
 
     def err(V):
@@ -107,7 +107,7 @@ def test_criterion_2_interface_eigenvalues(ex1):
     t0 = time.perf_counter()
     hier = build_hierarchy(plan, ex1.domain, ex1.circles, ex1.coefficient())
     finest = hier.levels[-1]
-    ref_lams, _ = reference_eigensolve(finest.A_h, finest.B_h, plan.nev, 1e-11)
+    ref_lams, _ = eigsh_reference(finest.A_h, finest.B_h, plan.nev)
 
     state = multilevel_solve(hier, plan, coarse_tol=1e-11)
     while (np.abs(state.lambdas - ref_lams).max() >= 1e-9
@@ -124,9 +124,9 @@ def test_criterion_2_interface_eigenvalues(ex1):
 def test_criterion_3_coarser_space_slower(ex1):
     """The contraction rate degrades with a coarser augmenting space."""
     gm_a, ratios_a, _ = _contraction_study(
-        ex1, 2 / 17, 2 / 70, steps=8, floor=1e-7, ref_tol=1e-11)
+        ex1, 2 / 17, 2 / 70, steps=8, floor=1e-7)
     gm_b, _, _ = _contraction_study(
-        ex1, 2 / 27, 2 / 70, steps=8, floor=1e-7, ref_tol=1e-11)
+        ex1, 2 / 27, 2 / 70, steps=8, floor=1e-7)
     ok = gm_a < 1 and gm_b < 1 and gm_b < gm_a and len(ratios_a) >= 4
     _criterion(3, ok, f"contraction {gm_a:.3f} (coarser space) vs {gm_b:.3f} "
                       f"(finer space), {len(ratios_a)} pre-saturation steps")
@@ -135,9 +135,9 @@ def test_criterion_3_coarser_space_slower(ex1):
 def test_criterion_4_mesh_size_independence(ex1):
     """The contraction rate is stable under fine-mesh refinement."""
     gm_a, _, _ = _contraction_study(
-        ex1, 2 / 17, 2 / 140, steps=8, floor=1e-6, ref_tol=1e-10)
+        ex1, 2 / 17, 2 / 140, steps=8, floor=1e-6)
     gm_b, _, _ = _contraction_study(
-        ex1, 2 / 17, 2 / 280, steps=8, floor=1e-6, ref_tol=1e-10)
+        ex1, 2 / 17, 2 / 280, steps=8, floor=1e-6)
     change = abs(gm_b - gm_a) / gm_a
     ok = change < 0.25
     _criterion(4, ok, f"contraction {gm_a:.3f} vs {gm_b:.3f} after halving h, "
@@ -150,10 +150,7 @@ def test_criterion_5_second_order_level_errors(ex1):
                      theta=0.1, nev=1)
     hier = build_hierarchy(plan, ex1.domain, ex1.circles, ex1.coefficient())
 
-    refs = []
-    for level in hier.levels:
-        tol = 1e-11 if level.space.n_dof < 25000 else 1e-10
-        refs.append(reference_eigensolve(level.A_h, level.B_h, 1, tol)[0][0])
+    refs = [eigsh_reference(level.A_h, level.B_h, 1)[0][0] for level in hier.levels]
 
     state = multilevel_solve(hier, plan, coarse_tol=1e-11)
 
@@ -263,7 +260,7 @@ def test_criterion_8_structural_invariants(ex1, tmp_path):
                      theta=0.1, nev=3)
     hier = build_hierarchy(plan, ex1.domain, ex1.circles, ex1.coefficient())
     finest = hier.levels[-1]
-    ref_lams, _ = reference_eigensolve(finest.A_h, finest.B_h, 3, 1e-11)
+    ref_lams, _ = eigsh_reference(finest.A_h, finest.B_h, 3)
     state = multilevel_solve(hier, plan, coarse_tol=1e-11)
     sandwich = True
     for rec in state.records:

@@ -1,6 +1,6 @@
 """Command-line interface: subcommands, exit codes, error reporting."""
 
-import numpy as np
+import pytest
 
 from augeig.cli import EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, main
 from augeig.mesh import read_mesh
@@ -25,10 +25,48 @@ def test_missing_config_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unusable_paths_are_usage_errors(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = write(tmp_path, (
+        f"example = unit_square\ncoarse_h = 0.5\nh1 = 0.25\nout_dir = {blocker}/out\n"
+    ))
+    assert main(["solve", "--config", cfg]) == EXIT_USAGE
+    assert main(["solve", "--config", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.count("error:") == 2
+
+
 def test_bad_config_key(tmp_path, capsys):
     cfg = write(tmp_path, "coarse_h = 0.5\nbogus = 1\n")
     assert main(["solve", "--config", cfg]) == EXIT_USAGE
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines", [
+    "example = unit_square\ntiming = yes\n",
+    "example = unit_square\nclusters = a,b\n",
+    "example = unit_square\nclusters = 0,1\n",
+    "domain = 0,0,2,2\ncircles = a,b,c,d\n",
+    "example = unit_square\nnev = 0\n",
+    "domain = 0,0,2,2\ncircles = 1,1,0.25,-3\n",
+    "domain = 0,0,2,2\nbackground_k = 0\n",
+    "example = unit_square\nbackground_k = 2\n",
+    "example = unit_square\nseed = -1\n",
+], ids=["timing-yes", "clusters-letters", "clusters-0-based", "circles-letters",
+        "nev-0", "circle-K-negative", "background-K-zero", "example-with-background-K",
+        "seed-negative"])
+def test_malformed_config_is_usage_error(tmp_path, capsys, lines):
+    cfg = write(tmp_path, lines + f"coarse_h = 0.5\nh1 = 0.25\nout_dir = {tmp_path}\n")
+    assert main(["solve", "--config", cfg]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_negative_seed_override_is_usage_error(tmp_path, capsys):
+    cfg = write(tmp_path, (
+        f"example = unit_square\ncoarse_h = 0.5\nh1 = 0.25\nout_dir = {tmp_path}\n"
+    ))
+    assert main(["--seed", "-1", "solve", "--config", cfg]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_generate_roundtrip(tmp_path, capsys):

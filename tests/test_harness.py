@@ -1,13 +1,20 @@
 """Configuration parsing, cluster handling, error measurement, CSV output."""
 
+import re
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from augeig.errors import ConfigError
 from augeig.harness import (
+    CONFIG_KEYS,
     CSV_HEADER,
+    CUSTOM_GEOMETRY_KEYS,
     RunConfig,
     detect_clusters,
+    example1,
     load_config,
     measure_errors,
     run_example,
@@ -49,6 +56,21 @@ def test_load_config_basic(tmp_path):
     assert cfg.plan.nev == 3
     assert cfg.timing is False
     assert cfg.coarse_tol == 1e-11
+
+
+def test_load_config_defaults_are_the_dataclass_defaults(tmp_path):
+    cfg = load_config(write_config(tmp_path, "example = example1\ncoarse_h = 0.5\nh1 = 0.25\n"))
+    assert cfg == RunConfig(example=example1(), plan=LevelPlan(coarse_h=0.5, h1=0.25))
+
+
+def test_readme_config_block_names_every_key(tmp_path):
+    """README's run.cfg block loads and names every key but the custom geometry."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(# run\.cfg\n.*?)```", readme, re.S).group(1)
+    load_config(write_config(tmp_path, block))
+    named = {line.split("=", 1)[0].strip() for line in block.splitlines()
+             if "=" in line.split("#", 1)[0]}
+    assert named == CONFIG_KEYS - set(CUSTOM_GEOMETRY_KEYS)
 
 
 def test_load_config_duplicate_key(tmp_path):
@@ -127,6 +149,11 @@ def test_run_config_validation():
         RunConfig(example=ex, plan=plan, tol_lambda=0.0)
     with pytest.raises(ConfigError):
         RunConfig(example=ex, plan=plan, coarse_tol=-1.0)
+    with pytest.raises(ConfigError, match="seed"):
+        RunConfig(example=ex, plan=plan, seed=-1)
+    for bad in (replace(ex, background_k=0.0), replace(example1(), circle_k=[10.0, -3.0])):
+        with pytest.raises(ConfigError, match="K must be positive"):
+            RunConfig(example=bad, plan=plan)
 
 
 # -- clusters and error measurement ----------------------------------------

@@ -7,13 +7,14 @@ import pytest
 
 from augeig.errors import ConfigError
 from augeig.harness import measure_errors, unit_square
-from augeig.linalg import reference_eigensolve
 from augeig.multilevel import (
     LevelPlan,
     build_hierarchy,
     coarsest_solve,
     multilevel_solve,
 )
+
+from conftest import eigsh_reference
 
 EXACT_LAMBDA1 = np.pi ** 2 / 2  # first Dirichlet eigenvalue on (0,2)^2
 
@@ -31,6 +32,8 @@ def test_plan_validation():
         LevelPlan(coarse_h=0.5, h1=0.25, theta=1.0)
     with pytest.raises(ConfigError):
         LevelPlan(coarse_h=0.5, h1=0.25, mode="other")
+    with pytest.raises(ConfigError, match="nev"):
+        LevelPlan(coarse_h=0.5, h1=0.25, nev=0)
 
 
 def test_fine_sizes():
@@ -78,7 +81,7 @@ def test_multilevel_converges_to_finest_reference(square_hierarchy):
     _, plan, hier = square_hierarchy
     state = multilevel_solve(hier, plan, coarse_tol=1e-11)
     finest = hier.levels[-1]
-    ref_lams, _ = reference_eigensolve(finest.A_h, finest.B_h, 1, 1e-11)
+    ref_lams, _ = eigsh_reference(finest.A_h, finest.B_h, 1)
     assert abs(state.lambdas[0] - ref_lams[0]) < 1e-5
     assert abs(state.lambdas[0] - EXACT_LAMBDA1) / EXACT_LAMBDA1 < 0.005
 
@@ -103,7 +106,7 @@ def test_multilevel_converges_to_finest_reference(square_hierarchy):
 def test_error_fn_history(square_hierarchy):
     _, plan, hier = square_hierarchy
     finest = hier.levels[-1]
-    ref = reference_eigensolve(finest.A_h, finest.B_h, 1, 1e-11)
+    ref = eigsh_reference(finest.A_h, finest.B_h, 1)
 
     def err(V):
         e, _ = measure_errors(np.zeros(V.shape[1]), V, ref[0], ref[1], [], finest.A_h)
