@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import eigsh
 
-from .errors import LinalgError
+from .errors import ConvergenceError, LinalgError
 from .fem import a_norm
 # dense_sym_gen_eig is not called here; perfbench/spans.py hooks it by this name.
 from .linalg import SparseMatrix, a_normalize, dense_sym_gen_eig, pcg_solve  # noqa: F401
@@ -37,7 +37,9 @@ def correction_solve(A_h: SparseMatrix, B_h: SparseMatrix, state: EigenState,
     """Solve A u~ = lambda B u for each tracked pair, then a-orthonormalize.
 
     Each solve starts from the current iterate and must contract the
-    A-norm error by at least theta. Returns (U_tilde, reports).
+    A-norm error by at least theta; a solve that stops at its iteration
+    cap raises ConvergenceError with (iterate, report) as payload.
+    Returns (U_tilde, reports).
     """
     n = A_h.n
     m = state.m
@@ -46,6 +48,10 @@ def correction_solve(A_h: SparseMatrix, B_h: SparseMatrix, state: EigenState,
     for j in range(m):
         rhs = state.lambdas[j] * (B_h.csr @ state.vectors[:, j])
         x, report = pcg_solve(A_h, rhs, x0=state.vectors[:, j].copy(), theta=theta)
+        if report.breakdown:
+            raise ConvergenceError(
+                f"correction solve for slot {j} stopped short of theta={theta:g} "
+                f"after {report.iterations} iterations", payload=(x, report))
         U[:, j] = x
         reports.append(report)
 

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import AugeigError, ConfigError, GeometryError, MeshFormatError
+from .errors import AugeigError, ConfigError, GeometryError
 from .fem import CrossAssembler
 from .harness import EXAMPLES, load_config, run_example, timing_study
 from .mesh import fitted_mesh, write_mesh
@@ -56,11 +56,14 @@ def _cmd_generate(args):
     return EXIT_OK
 
 
-def _cmd_solve(args):
+def _load_config(args):
+    """The --config file's RunConfig, its seed replaced by --seed if given."""
     config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    result = run_example(config)
+    return config if args.seed is None else replace(config, seed=args.seed)
+
+
+def _cmd_solve(args):
+    result = run_example(_load_config(args))
     print(f"csv: {result.csv_path}")
     print(f"summary: {result.summary_path}")
     print(f"converged: {'yes' if result.converged else 'no'}")
@@ -68,10 +71,7 @@ def _cmd_solve(args):
 
 
 def _cmd_bench(args):
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    points, slope, path = timing_study(config)
+    points, slope, path = timing_study(_load_config(args))
     for n_dof, seconds in points:
         print(f"n_dof={n_dof} seconds={seconds:.3f}")
     print(f"log-log slope: {slope:.3f}")
@@ -80,7 +80,7 @@ def _cmd_bench(args):
 
 
 def _cmd_compare(args):
-    config = load_config(args.config)
+    config = _load_config(args)
     ex = config.example
     coeff = ex.coefficient()
     plan = replace(config.plan, n_levels=1, mode="galerkin")
@@ -124,7 +124,7 @@ def main(argv=None):
     }[args.command]
     try:
         return handler(args)
-    except (ConfigError, GeometryError, MeshFormatError, OSError) as exc:
+    except (ConfigError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AugeigError as exc:

@@ -9,14 +9,6 @@ class GeometryError(AugeigError):
     """Mesh generation or interface fitting failed."""
 
 
-class MeshFormatError(AugeigError):
-    """Malformed mesh file."""
-
-    def __init__(self, line, message):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
-
-
 class LinalgError(AugeigError):
     """Numerical breakdown in a linear-algebra kernel."""
 

@@ -117,14 +117,6 @@ def local_stiffness(tri_coords, k=1.0):
     return 0.5 * det * k * (g @ g.T)
 
 
-def local_mass(tri_coords):
-    """3x3 element mass: |T|/12 * [[2,1,1],[1,2,1],[1,1,2]]."""
-    a, b, c = tri_coords
-    det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    area = 0.5 * det
-    return area / 12.0 * (np.ones((3, 3)) + np.eye(3))
-
-
 def _scatter(mesh, local, dof_map, n):
     """Accumulate (m, 3, 3) element matrices into a CSR on the given dofs."""
     tri_dofs = dof_map[mesh.triangles]  # (m, 3), -1 for eliminated rows
@@ -154,11 +146,9 @@ def assemble_mass(space: FeSpace) -> SparseMatrix:
     return _scatter(mesh, local, space.node_to_dof, space.n_dof)
 
 
-def a_norm(A, v):
+def a_norm(A: SparseMatrix, v):
     """Energy norm sqrt(v^T A v); rejects radicands below -1e-14."""
-    v = np.asarray(v)
-    Av = A.csr @ v if isinstance(A, SparseMatrix) else np.asarray(A) @ v
-    q = float(v @ Av)
+    q = float(v @ (A.csr @ v))
     if q < -1e-14:
         raise LinalgError(f"negative radicand {q:g}: matrix is not SPD")
     return np.sqrt(max(q, 0.0))

@@ -230,8 +230,8 @@ def detect_clusters(ref_lams, explicit=None):
     return clusters
 
 
-def measure_errors(lambdas, vectors, ref_lams, ref_vecs, clusters, A_h):
-    """Per-slot A-norm eigenfunction errors and absolute eigenvalue errors.
+def measure_errors(vectors, ref_vecs, clusters, A_h):
+    """Per-slot A-norm eigenfunction errors.
 
     Slots belonging to a cluster are measured against the A-orthogonal
     projection onto the span of the cluster's reference vectors; singleton
@@ -255,8 +255,7 @@ def measure_errors(lambdas, vectors, ref_lams, ref_vecs, clusters, A_h):
         else:
             ub = ref_vecs[:, j]
             anorm_errors[j] = min(a_norm(A_h, u - ub), a_norm(A_h, u + ub))
-    lambda_errors = np.abs(np.asarray(lambdas) - np.asarray(ref_lams[:m]))
-    return anorm_errors, lambda_errors
+    return anorm_errors
 
 
 @dataclass
@@ -296,11 +295,10 @@ def run_example(config: RunConfig) -> RunResult:
                   for level in hierarchy.levels[:-1]]
     references.append((ref_lams, ref_vecs))
 
-    def error_fn(level, ref):
-        return lambda V: measure_errors(np.zeros(V.shape[1]), V, *ref, clusters,
-                                        level.A_h)[0]
+    def error_fn(level, ref_vecs):
+        return lambda V: measure_errors(V, ref_vecs, clusters, level.A_h)
 
-    error_fns = [error_fn(level, ref) for level, ref in zip(hierarchy.levels, references)]
+    error_fns = [error_fn(level, ref[1]) for level, ref in zip(hierarchy.levels, references)]
     state = multilevel_solve(hierarchy, plan, coarse_tol=config.coarse_tol,
                              seed=config.seed, error_fns=error_fns)
 

@@ -13,7 +13,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConvergenceError, LinalgError
+from .errors import ConfigError, ConvergenceError, LinalgError
 
 # Safety margins applied to the power-iteration spectrum estimates so the
 # residual-based A-norm error bound stays conservative.
@@ -219,11 +219,12 @@ def reference_eigensolve(A: SparseMatrix, B: SparseMatrix, nev, tol, seed=0):
     tracked eigenvalue changes by less than tol and the scaled residual
     ||A u - lambda B u|| / ||B u|| drops below tol (both relative to
     max(1, lambda)). Eigenvectors are a-normalized with the
-    largest-magnitude component positive.
+    largest-magnitude component positive. A nev above n/4 is a
+    ConfigError: the pair count comes from the run configuration.
     """
     n = A.n
     if nev > n // 4:
-        raise LinalgError(f"nev={nev} exceeds n/4={n // 4}")
+        raise ConfigError(f"nev={nev} exceeds n/4={n // 4} of a {n}-dof level")
     p = min(nev + 5, n)
 
     rng = np.random.default_rng(seed)

@@ -2,14 +2,14 @@
 
 Structured right-triangle meshes over a rectangle, node snapping onto
 circular material interfaces, region classification, point location and a
-line-oriented mesh file format.
+writer for a line-oriented mesh file format.
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import GeometryError, MeshFormatError
+from .errors import GeometryError
 
 BACKGROUND_TAG = 0
 
@@ -77,7 +77,7 @@ class Circle:
 
 @dataclass
 class Mesh:
-    """Triangulation with region tags and boundary/interface node flags.
+    """Triangulation with region tags and boundary node flags.
 
     Treated as immutable after construction; operations that modify a mesh
     return a new instance.
@@ -87,7 +87,6 @@ class Mesh:
     triangles: np.ndarray    # (m, 3) int, counterclockwise
     region_tag: np.ndarray   # (m,) int
     boundary_node: np.ndarray   # (n,) bool
-    interface_node: np.ndarray  # (n,) bool
     h_max: float
     _locator: "object" = field(default=None, repr=False, compare=False)
 
@@ -166,7 +165,6 @@ def generate_structured_mesh(domain: Rect, h: float) -> Mesh:
         triangles=triangles,
         region_tag=np.full(len(triangles), BACKGROUND_TAG, dtype=np.int64),
         boundary_node=boundary,
-        interface_node=np.zeros(len(nodes), dtype=bool),
         h_max=_compute_h_max(nodes, triangles),
     )
 
@@ -185,13 +183,19 @@ def _check_circles(mesh, circles):
                 raise GeometryError("interface circles must not overlap")
 
 
-def _unique_edges(triangles, n_nodes):
-    """Every edge once as a sorted node pair (a, b), in lexicographic order;
-    the key a * n_nodes + b turns np.unique(edges, axis=0) into a 1-D unique."""
+def _half_edges(triangles):
+    """The three edges of every triangle as sorted node pairs (a, b), (3m, 2);
+    an interior edge appears twice."""
     edges = np.concatenate(
         [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]]
     )
     edges.sort(axis=1)
+    return edges
+
+
+def _unique_edges(edges, n_nodes):
+    """Each distinct sorted node pair once, in lexicographic order; the key
+    a * n_nodes + b turns np.unique(edges, axis=0) into a 1-D unique."""
     keys = np.unique(edges[:, 0] * n_nodes + edges[:, 1])
     return np.column_stack([keys // n_nodes, keys % n_nodes])
 
@@ -211,13 +215,12 @@ def fit_interfaces(mesh: Mesh, circles) -> Mesh:
     if not circles:
         return mesh
     _check_circles(mesh, circles)
-    edges = _unique_edges(mesh.triangles, mesh.n_nodes)
+    half = _half_edges(mesh.triangles)
 
     frac = SNAP_FRACTION
     cap_scale = 1.0
     for _attempt in range(5):
         nodes = mesh.nodes.copy()
-        on_interface = np.zeros(mesh.n_nodes, dtype=bool)
         band = frac * mesh.h_max
         move_cap = cap_scale * mesh.h_max
         for circle in circles:
@@ -229,18 +232,16 @@ def fit_interfaces(mesh: Mesh, circles) -> Mesh:
             scale = circle.radius / dist[near]
             nodes[near, 0] = cx + dx[near] * scale
             nodes[near, 1] = cy + dy[near] * scale
-            on_interface |= near
         for circle in circles:
             cx, cy = circle.center
             d = np.hypot(nodes[:, 0] - cx, nodes[:, 1] - cy) - circle.radius
-            da, db = d[edges[:, 0]], d[edges[:, 1]]
-            crossing = np.flatnonzero(da * db < 0)
+            crossing = _unique_edges(half[d[half[:, 0]] * d[half[:, 1]] < 0], mesh.n_nodes)
             if len(crossing) == 0:
                 continue
             # Incidence map for the nodes involved, to veto snaps that
             # would put all three vertices of a triangle on the circle
             # (such inscribed triangles are nearly flat for small arcs).
-            cand = np.unique(edges[crossing])
+            cand = np.unique(crossing)
             tri_mask = np.isin(mesh.triangles, cand).any(axis=1)
             incident = {}
             for tri in mesh.triangles[tri_mask]:
@@ -253,7 +254,7 @@ def fit_interfaces(mesh: Mesh, circles) -> Mesh:
                         return True
                 return False
 
-            for a, b in edges[crossing]:
+            for a, b in crossing:
                 if d[a] * d[b] >= 0:  # resolved by an earlier snap
                     continue
                 pick, other = (a, b) if abs(d[a]) <= abs(d[b]) else (b, a)
@@ -266,14 +267,12 @@ def fit_interfaces(mesh: Mesh, circles) -> Mesh:
                     nodes[node, 0] = cx + (nodes[node, 0] - cx) * scale
                     nodes[node, 1] = cy + (nodes[node, 1] - cy) * scale
                     d[node] = 0.0
-                    on_interface[node] = True
                     break
         candidate = Mesh(
             nodes=nodes,
             triangles=mesh.triangles,
             region_tag=mesh.region_tag.copy(),
             boundary_node=mesh.boundary_node.copy(),
-            interface_node=on_interface,
             h_max=_compute_h_max(nodes, mesh.triangles),
         )
         if candidate.signed_areas().min() > 0:
@@ -458,83 +457,3 @@ def write_mesh(mesh: Mesh, path):
         f.write(f"triangles {mesh.n_triangles}\n")
         for (i, j, k), tag in zip(mesh.triangles, mesh.region_tag):
             f.write(f"{i} {j} {k} {tag}\n")
-
-
-def read_mesh(path) -> Mesh:
-    """Parse a mesh file; raises MeshFormatError with a line number."""
-    with open(path) as f:
-        lines = f.read().splitlines()
-
-    pos = 0
-
-    def next_line():
-        nonlocal pos
-        if pos >= len(lines):
-            raise MeshFormatError(pos + 1, "unexpected end of file")
-        pos += 1
-        return lines[pos - 1]
-
-    if next_line().strip() != "meshfmt 1":
-        raise MeshFormatError(1, "expected header 'meshfmt 1'")
-
-    header = next_line().split()
-    if len(header) != 2 or header[0] != "nodes":
-        raise MeshFormatError(pos, "expected 'nodes N'")
-    try:
-        n_nodes = int(header[1])
-    except ValueError:
-        raise MeshFormatError(pos, f"bad node count {header[1]!r}") from None
-
-    nodes = np.empty((n_nodes, 2))
-    boundary = np.empty(n_nodes, dtype=bool)
-    for i in range(n_nodes):
-        parts = next_line().split()
-        if len(parts) != 3:
-            raise MeshFormatError(pos, "expected 'x y boundary_flag'")
-        try:
-            nodes[i, 0] = float(parts[0])
-            nodes[i, 1] = float(parts[1])
-            boundary[i] = bool(int(parts[2]))
-        except ValueError:
-            raise MeshFormatError(pos, f"bad node line {lines[pos - 1]!r}") from None
-
-    header = next_line().split()
-    if len(header) != 2 or header[0] != "triangles":
-        raise MeshFormatError(pos, "expected 'triangles M'")
-    try:
-        n_tri = int(header[1])
-    except ValueError:
-        raise MeshFormatError(pos, f"bad triangle count {header[1]!r}") from None
-
-    triangles = np.empty((n_tri, 3), dtype=np.int64)
-    tags = np.empty(n_tri, dtype=np.int64)
-    for i in range(n_tri):
-        parts = next_line().split()
-        if len(parts) != 4:
-            raise MeshFormatError(pos, "expected 'i j k region_tag'")
-        try:
-            triangles[i] = [int(parts[0]), int(parts[1]), int(parts[2])]
-            tags[i] = int(parts[3])
-        except ValueError:
-            raise MeshFormatError(pos, f"bad triangle line {lines[pos - 1]!r}") from None
-        if triangles[i].min() < 0 or triangles[i].max() >= n_nodes:
-            raise MeshFormatError(pos, "triangle references a node index out of range")
-
-    return Mesh(
-        nodes=nodes,
-        triangles=triangles,
-        region_tag=tags,
-        boundary_node=boundary,
-        interface_node=np.zeros(n_nodes, dtype=bool),
-        h_max=_compute_h_max(nodes, triangles),
-    )
-
-
-def meshes_equal(m1: Mesh, m2: Mesh) -> bool:
-    """Bit-exact equality of coordinates, connectivity, tags and flags."""
-    return (
-        np.array_equal(m1.nodes, m2.nodes)
-        and np.array_equal(m1.triangles, m2.triangles)
-        and np.array_equal(m1.region_tag, m2.region_tag)
-        and np.array_equal(m1.boundary_node, m2.boundary_node)
-    )

@@ -1,9 +1,12 @@
 """One augmented subspace iteration: correction, selection, reassembly."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import augeig.augsub as augsub
 from augeig.augsub import (
     EigenState,
     aug_subspace_step,
@@ -11,7 +14,7 @@ from augeig.augsub import (
     select_eigenpairs,
     solve_bordered,
 )
-from augeig.errors import LinalgError
+from augeig.errors import ConvergenceError, LinalgError
 from augeig.fem import (
     BorderedSystem,
     CrossAssembler,
@@ -21,15 +24,13 @@ from augeig.fem import (
     build_transfer,
 )
 from augeig.harness import measure_errors
-from augeig.linalg import a_normalize, dense_sym_gen_eig, reference_eigensolve
+from augeig.linalg import a_normalize, dense_sym_gen_eig, pcg_solve, reference_eigensolve
 
 from conftest import fitted_mesh
 
 
 def _block_error(vectors, ref, clusters, A_h):
-    errs, _ = measure_errors(np.zeros(vectors.shape[1]), vectors, ref[0], ref[1],
-                             clusters, A_h)
-    return float(np.linalg.norm(errs))
+    return float(np.linalg.norm(measure_errors(vectors, ref[1], clusters, A_h)))
 
 
 def test_first_step_contracts(square_pair, square_reference, square_initial_state):
@@ -97,6 +98,27 @@ def test_correction_degenerate_guard(square_pair, square_initial_state):
     )
     with pytest.raises(LinalgError, match="degenerate"):
         correction_solve(square_pair["A_h"], square_pair["B_h"], dup, theta=0.1)
+
+
+def test_correction_breakdown_raises(square_pair, square_initial_state, monkeypatch):
+    # A PCG breakdown on the second slot stops the step, with the iterate
+    # and the report as payload.
+    calls = []
+
+    def pcg_breaking_on_second(*args, **kwargs):
+        x, report = pcg_solve(*args, **kwargs)
+        calls.append(x)
+        if len(calls) == 2:
+            report = dataclasses.replace(report, breakdown=True)
+        return x, report
+
+    monkeypatch.setattr(augsub, "pcg_solve", pcg_breaking_on_second)
+    with pytest.raises(ConvergenceError, match="slot 1") as exc:
+        correction_solve(square_pair["A_h"], square_pair["B_h"], square_initial_state,
+                         theta=0.1)
+    x, report = exc.value.payload
+    assert len(calls) == 2 and x is calls[1]
+    assert report.breakdown and report.iterations > 0
 
 
 def _decoupled_system():

@@ -1,9 +1,9 @@
 """Command-line interface: subcommands, exit codes, error reporting."""
 
+import numpy as np
 import pytest
 
 from augeig.cli import EXIT_NOT_CONVERGED, EXIT_OK, EXIT_USAGE, main
-from augeig.mesh import read_mesh
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -69,15 +69,28 @@ def test_negative_seed_override_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_generate_roundtrip(tmp_path, capsys):
+def test_generate_writes_mesh_file(tmp_path, capsys):
     out = tmp_path / "mesh.txt"
     assert main(["generate", "--example", "example1", "--h", str(2 / 17),
                  "--out", str(out)]) == EXIT_OK
     printed = capsys.readouterr().out
-    mesh = read_mesh(out)
-    assert f"{mesh.n_nodes} nodes" in printed
-    assert mesh.signed_areas().min() > 0
-    assert (mesh.region_tag > 0).any()
+    lines = out.read_text().splitlines()
+    assert lines[0] == "meshfmt 1"
+    kind, n_nodes = lines[1].split()
+    assert kind == "nodes"
+    n_nodes = int(n_nodes)
+    nodes = np.array([line.split() for line in lines[2:2 + n_nodes]], dtype=float)
+    kind, n_tri = lines[2 + n_nodes].split()
+    assert kind == "triangles"
+    n_tri = int(n_tri)
+    rows = np.array([line.split() for line in lines[3 + n_nodes:]], dtype=np.int64)
+    assert rows.shape == (n_tri, 4)
+    assert f"wrote {n_nodes} nodes / {n_tri} triangles to {out}" in printed
+    a, b, c = (nodes[rows[:, k], :2] for k in range(3))
+    areas = 0.5 * ((b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1])
+                   - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0]))
+    assert areas.min() > 0
+    assert (rows[:, 3] > 0).any()
 
 
 def test_solve_small_config(tmp_path, capsys):
@@ -101,12 +114,35 @@ def test_solve_not_converged_exit_code(tmp_path):
     assert main(["solve", "--config", cfg]) == EXIT_NOT_CONVERGED
 
 
-def test_seed_override(tmp_path):
+def test_seed_override(tmp_path, capsys):
+    # --seed 5 acts as seed = 5 in the file, for solve and for compare.
+    base = "example = unit_square\ncoarse_h = 0.5\nh1 = 0.3\nnev = 1\ntiming = off\n"
+    runs = {}
+    for name, seed_line, argv in (("flag", "", ["--seed", "5"]),
+                                  ("file", "seed = 5\n", [])):
+        out = tmp_path / name
+        cfg = write(tmp_path, base + seed_line + f"out_dir = {out}\n", f"{name}.cfg")
+        assert main(argv + ["solve", "--config", cfg]) == EXIT_OK
+        capsys.readouterr()
+        assert main(argv + ["compare", "--config", cfg]) == EXIT_OK
+        runs[name] = ((out / "unit_square_convergence.csv").read_text(),
+                      capsys.readouterr().out)
+    assert runs["flag"] == runs["file"]
+    cfg = write(tmp_path, base + f"out_dir = {tmp_path}\n")
+    assert main(["compare", "--config", cfg]) == EXIT_OK
+    assert capsys.readouterr().out != runs["file"][1]  # the seed reaches compare
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_nev_above_quarter_of_dofs_is_usage_error(tmp_path, capsys, command):
+    # 49 dofs on the first level admit at most 12 pairs.
     cfg = write(tmp_path, (
-        "example = unit_square\ncoarse_h = 0.5\nh1 = 0.25\nn_levels = 1\n"
-        f"nev = 1\nout_dir = {tmp_path}\n"
+        "example = unit_square\ncoarse_h = 0.5\nh1 = 0.25\nn_levels = 3\n"
+        f"nev = 400\nout_dir = {tmp_path}\n"
     ))
-    assert main(["--seed", "5", "solve", "--config", cfg]) == EXIT_OK
+    assert main([command, "--config", cfg]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "nev=400" in err
 
 
 def test_bench_small(tmp_path, capsys):

@@ -16,7 +16,6 @@ from augeig.fem import (
     assemble_stiffness,
     build_space,
     build_transfer,
-    local_mass,
     local_stiffness,
 )
 from augeig.linalg import SparseMatrix
@@ -51,12 +50,6 @@ def test_local_stiffness_rows_sum_to_zero():
             continue
         K = local_stiffness(tri)
         assert np.abs(K.sum(axis=1)).max() < 1e-12  # constants are in the kernel
-
-
-def test_local_mass_unit_triangle():
-    M = local_mass(UNIT_TRI)
-    expected = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]], dtype=float) / 24.0
-    assert np.allclose(M, expected, atol=1e-15)
 
 
 # -- coefficients ----------------------------------------------------------

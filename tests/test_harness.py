@@ -166,35 +166,34 @@ def test_detect_clusters():
 
 
 def test_measure_errors_exact_and_sign(square_pair, square_reference):
-    lams, vecs = square_reference
+    _, vecs = square_reference
     A_h = square_pair["A_h"]
-    ae, le = measure_errors(lams, vecs, lams, vecs, [[1, 2]], A_h)
+    ae = measure_errors(vecs, vecs, [[1, 2]], A_h)
     assert ae.max() < 1e-10
-    assert le.max() == 0.0
     flipped = vecs * np.array([-1.0, 1.0, -1.0])
-    ae, _ = measure_errors(lams, flipped, lams, vecs, [[1, 2]], A_h)
+    ae = measure_errors(flipped, vecs, [[1, 2]], A_h)
     assert ae.max() < 1e-10
 
 
 def test_measure_errors_cluster_rotation(square_pair, square_reference):
     # A rotation within the two-dimensional eigenspace is not an error.
-    lams, vecs = square_reference
+    _, vecs = square_reference
     A_h = square_pair["A_h"]
     c, s = np.cos(0.7), np.sin(0.7)
     rotated = vecs.copy()
     rotated[:, 1] = c * vecs[:, 1] + s * vecs[:, 2]
     rotated[:, 2] = -s * vecs[:, 1] + c * vecs[:, 2]
-    ae, _ = measure_errors(lams, rotated, lams, vecs, [[1, 2]], A_h)
+    ae = measure_errors(rotated, vecs, [[1, 2]], A_h)
     assert ae[1] < 1e-10 and ae[2] < 1e-10
-    ae_singleton, _ = measure_errors(lams, rotated, lams, vecs, [], A_h)
+    ae_singleton = measure_errors(rotated, vecs, [], A_h)
     assert ae_singleton[1] > 0.1  # without the cluster the rotation looks wrong
 
 
 def test_measure_errors_coverage_guard(square_pair, square_reference):
-    lams, vecs = square_reference
+    _, vecs = square_reference
     from augeig.errors import LinalgError
     with pytest.raises(LinalgError):
-        measure_errors(lams, vecs, lams[:1], vecs[:, :1], [], square_pair["A_h"])
+        measure_errors(vecs, vecs[:, :1], [], square_pair["A_h"])
 
 
 # -- full pipeline ---------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from augeig.errors import LinalgError
+from augeig.errors import ConfigError, LinalgError
 from augeig.linalg import (
     SparseMatrix,
     a_normalize,
@@ -245,6 +245,6 @@ def test_reference_scaling():
 def test_reference_nev_guard():
     A = laplacian_1d(10)
     B = SparseMatrix(sp.identity(10, format="csr"))
-    with pytest.raises(LinalgError):
+    with pytest.raises(ConfigError):
         reference_eigensolve(A, B, 5, 1e-8)
 

@@ -1,22 +1,20 @@
-"""Mesh generation, interface fitting, classification, location, file I/O."""
+"""Mesh generation, interface fitting, classification and location."""
 
 import numpy as np
 import pytest
 
-from augeig.errors import GeometryError, MeshFormatError
+from augeig.errors import GeometryError
 from augeig.mesh import (
     Circle,
     Mesh,
     Rect,
+    _half_edges,
     _unique_edges,
     classify_regions,
     fit_interfaces,
     generate_structured_mesh,
     locate_many,
     locate_point,
-    meshes_equal,
-    read_mesh,
-    write_mesh,
 )
 
 from conftest import fitted_mesh, full_scan_locate
@@ -74,13 +72,20 @@ def test_circle_validation():
 
 # -- interface fitting -----------------------------------------------------
 
+def _on_circles(circles, points):
+    """Mask of the points within 1e-12 of some circle."""
+    d = np.stack([np.abs(c.signed_distance(points)) for c in circles])
+    return d.min(axis=0) < 1e-12
+
+
 def test_fit_snaps_onto_circles(ex1):
     mesh = generate_structured_mesh(ex1.domain, 2 / 17)
     fitted = fit_interfaces(mesh, ex1.circles)
-    idx = np.flatnonzero(fitted.interface_node)
-    assert len(idx) > 0
-    d = np.stack([np.abs(c.signed_distance(fitted.nodes[idx])) for c in ex1.circles])
-    assert d.min(axis=0).max() < 1e-12
+    moved = (fitted.nodes != mesh.nodes).any(axis=1)
+    assert moved.any()
+    assert _on_circles(ex1.circles, fitted.nodes[moved]).all()
+    assert (_on_circles(ex1.circles, fitted.nodes).sum()
+            > _on_circles(ex1.circles, mesh.nodes).sum())
 
 
 def test_fit_no_inversions(ex1):
@@ -132,18 +137,28 @@ def test_fit_never_flattens_a_triangle(ex1):
 
 
 def test_unique_edges_matches_row_unique(ex1):
-    mesh = fitted_mesh(ex1, 2 / 35)
-    edges = np.concatenate([mesh.triangles[:, [0, 1]], mesh.triangles[:, [1, 2]],
-                            mesh.triangles[:, [2, 0]]])
-    want = np.unique(np.sort(edges, axis=1), axis=0)
-    got = _unique_edges(mesh.triangles, mesh.n_nodes)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    mesh = generate_structured_mesh(ex1.domain, 2 / 35)
+    edges = np.sort(np.concatenate([mesh.triangles[:, [0, 1]], mesh.triangles[:, [1, 2]],
+                                    mesh.triangles[:, [2, 0]]]), axis=1)
+    assert np.array_equal(_half_edges(mesh.triangles), edges)
+    # Every edge, and the subset fit_interfaces passes: the half-edges that
+    # cross a circle, each interior one listed twice.
+    d = ex1.circles[0].signed_distance(mesh.nodes)
+    crossing = edges[d[edges[:, 0]] * d[edges[:, 1]] < 0]
+    assert len(np.unique(crossing, axis=0)) < len(crossing)
+    for subset in (edges, crossing):
+        want = np.unique(subset, axis=0)
+        got = _unique_edges(subset, mesh.n_nodes)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_nonnested_levels(ex1):
     coarse = fitted_mesh(ex1, 2 / 17)
     fine = fitted_mesh(ex1, 2 / 34)
-    snapped = fine.nodes[fine.interface_node]
+    # Nodes that fitting moved onto a circle; grid nodes that already lie
+    # on one (such as the tangency point) do not count.
+    moved = (fine.nodes != generate_structured_mesh(ex1.domain, 2 / 34).nodes).any(axis=1)
+    snapped = fine.nodes[moved & _on_circles(ex1.circles, fine.nodes)]
     d = np.hypot(
         snapped[:, None, 0] - coarse.nodes[None, :, 0],
         snapped[:, None, 1] - coarse.nodes[None, :, 1],
@@ -232,8 +247,7 @@ def test_locate_empty_mesh():
     empty = Mesh(
         nodes=np.zeros((0, 2)), triangles=np.zeros((0, 3), dtype=np.int64),
         region_tag=np.zeros(0, dtype=np.int64),
-        boundary_node=np.zeros(0, dtype=bool),
-        interface_node=np.zeros(0, dtype=bool), h_max=0.0,
+        boundary_node=np.zeros(0, dtype=bool), h_max=0.0,
     )
     with pytest.raises(GeometryError):
         locate_point(empty, (0.0, 0.0))
@@ -297,55 +311,3 @@ def test_locate_many_matches_locate_point(ex1, h, finer_h, fitted):
         assert np.array_equal(res.barycentric, lam)
         assert (res.status == "inside") == ins
 
-
-# -- file format -----------------------------------------------------------
-
-def test_mesh_roundtrip(tmp_path, ex1):
-    mesh = fitted_mesh(ex1, 2 / 17)
-    path = tmp_path / "m.mesh"
-    write_mesh(mesh, path)
-    back = read_mesh(path)
-    assert meshes_equal(mesh, back)
-
-
-def test_read_bad_header(tmp_path):
-    p = tmp_path / "bad.mesh"
-    p.write_text("meshfmt 2\n")
-    with pytest.raises(MeshFormatError) as e:
-        read_mesh(p)
-    assert e.value.line == 1
-
-
-def test_read_empty_file(tmp_path):
-    p = tmp_path / "empty.mesh"
-    p.write_text("")
-    with pytest.raises(MeshFormatError) as e:
-        read_mesh(p)
-    assert "end of file" in str(e.value)
-
-
-def test_read_truncated_nodes(tmp_path):
-    p = tmp_path / "trunc.mesh"
-    p.write_text("meshfmt 1\nnodes 3\n0 0 1\n")
-    with pytest.raises(MeshFormatError) as e:
-        read_mesh(p)
-    assert e.value.line == 4
-
-
-def test_read_bad_node_line(tmp_path):
-    p = tmp_path / "badnode.mesh"
-    p.write_text("meshfmt 1\nnodes 1\n0 zero 1\n")
-    with pytest.raises(MeshFormatError) as e:
-        read_mesh(p)
-    assert e.value.line == 3
-
-
-def test_read_triangle_index_out_of_range(tmp_path):
-    p = tmp_path / "badtri.mesh"
-    p.write_text(
-        "meshfmt 1\nnodes 3\n0 0 1\n1 0 1\n0 1 1\ntriangles 1\n0 1 5 0\n"
-    )
-    with pytest.raises(MeshFormatError) as e:
-        read_mesh(p)
-    assert e.value.line == 7
-    assert "out of range" in str(e.value)
