@@ -36,27 +36,23 @@ def correction_solve(A_h: SparseMatrix, B_h: SparseMatrix, state: EigenState,
                      theta):
     """Solve A u~ = lambda B u for each tracked pair, then a-orthonormalize.
 
-    Each solve starts from the current iterate and must contract the
-    A-norm error by at least theta; a solve that stops at its iteration
-    cap raises ConvergenceError with (iterate, report) as payload.
-    Returns (U_tilde, reports).
+    One block PCG over the m slots; each slot starts from its current
+    iterate and must contract its A-norm error by at least theta. A slot
+    that stops at its iteration cap raises ConvergenceError with
+    (iterate, report) as payload. Returns (U_tilde, reports).
     """
-    n = A_h.n
-    m = state.m
-    U = np.empty((n, m))
-    reports = []
-    for j in range(m):
-        rhs = state.lambdas[j] * (B_h.csr @ state.vectors[:, j])
-        x, report = pcg_solve(A_h, rhs, x0=state.vectors[:, j].copy(), theta=theta)
+    X, reports = pcg_solve(A_h, (B_h.csr @ state.vectors) * state.lambdas,
+                           state.vectors, theta=theta)
+    for j, report in enumerate(reports):
         if report.breakdown:
             raise ConvergenceError(
                 f"correction solve for slot {j} stopped short of theta={theta:g} "
-                f"after {report.iterations} iterations", payload=(x, report))
-        U[:, j] = x
-        reports.append(report)
+                f"after {report.iterations} iterations", payload=(X[:, j], report))
+    # C order: the products below round by the layout of U.
+    U = np.ascontiguousarray(X)
 
     # Modified Gram-Schmidt in the A inner product.
-    for j in range(m):
+    for j in range(state.m):
         v = U[:, j]
         for i in range(j):
             v = v - (U[:, i] @ (A_h.csr @ v)) * U[:, i]

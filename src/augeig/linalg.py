@@ -1,9 +1,10 @@
 """Sparse symmetric matrices and the solvers built on them.
 
 Contains the CSR container used for stiffness/mass operators, a
-preconditioned conjugate-gradient solver with an explicit A-norm
-contraction target, a dense generalized symmetric eigensolver, and the
-block inverse-subspace iteration used as the reference eigensolver.
+preconditioned conjugate-gradient solver for a block of uncoupled
+right-hand sides with an explicit A-norm contraction target per column,
+a dense generalized symmetric eigensolver, and the block
+inverse-subspace iteration used as the reference eigensolver.
 """
 
 from dataclasses import dataclass
@@ -42,6 +43,8 @@ class SparseMatrix:
         csr.sum_duplicates()
         csr.eliminate_zeros()
         csr.sort_indices()
+        # eliminate_zeros can leave views of the pre-drop arrays; own exactly nnz.
+        csr.data, csr.indices = csr.data.copy(), csr.indices.copy()
         asym = abs(csr - csr.T)
         if asym.nnz and asym.max() != 0.0:
             raise LinalgError("matrix is not numerically symmetric")
@@ -118,15 +121,24 @@ class _SsorPreconditioner:
         self._upper = spla.splu(upper, **opts)
         self._dscale = (d / omega) * (2.0 - omega) / omega
 
-    def apply(self, r):
-        z = self._lower.solve(r)
-        z *= self._dscale
-        return self._upper.solve(z)
+    def apply(self, R):
+        """M^-1 R for an (n, k) block, column by column inside SuperLU."""
+        Z = self._lower.solve(R)
+        Z *= self._dscale[:, None]
+        return self._upper.solve(Z)
 
 
-def pcg_solve(A: SparseMatrix, rhs, x0=None, theta=1e-8):
-    """SSOR-preconditioned conjugate gradients until the A-norm error
-    contraction is <= theta.
+def pcg_solve(A: SparseMatrix, RHS, X0=None, theta=1e-8):
+    """SSOR-preconditioned conjugate gradients on an (n, k) block of
+    right-hand sides, until each column's A-norm error contraction is
+    <= theta. Returns (X, reports): the (n, k) solutions, Fortran-ordered,
+    and one SolveReport per column.
+
+    The columns are uncoupled: each keeps its own Krylov space, step
+    lengths and stopping test, and a column that has converged is frozen.
+    Per iteration the active columns share one SpMM and one block SSOR
+    apply. Every dot product and norm runs on a contiguous column, so each
+    column's iterates are bit-identical to a single-vector CG.
 
     The contraction is enforced through the residual bound
     ||e_k||_A <= ||r_k|| / sqrt(lambda_min) against the lower bound
@@ -135,10 +147,12 @@ def pcg_solve(A: SparseMatrix, rhs, x0=None, theta=1e-8):
     """
     if not 0 < theta < 1:
         raise LinalgError(f"contraction target must lie in (0,1), got {theta}")
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] != A.n:
-        raise LinalgError("dimension mismatch between matrix and right-hand side")
-    x = np.zeros(A.n) if x0 is None else np.array(x0, dtype=float)
+    RHS = np.asarray(RHS, dtype=float)
+    if RHS.ndim != 2 or RHS.shape[0] != A.n:
+        raise LinalgError("right-hand sides must be an (n, k) block matching the matrix")
+    X = np.zeros(RHS.shape, order="F") if X0 is None else np.array(X0, dtype=float, order="F")
+    if X.shape != RHS.shape:
+        raise LinalgError("start block and right-hand sides differ in shape")
     iteration_cap = max(1000, 10 * A.n)
 
     M = A.ssor()
@@ -149,41 +163,51 @@ def pcg_solve(A: SparseMatrix, rhs, x0=None, theta=1e-8):
     lmax_up = lmax * _LMAX_INFLATE
     lmin_dn = lmin * _LMIN_DEFLATE
 
-    r = rhs - A.csr @ x
-    r0_norm = np.linalg.norm(r)
+    R = np.asfortranarray(RHS - A.csr @ X)
+    r0_norm = _col_norms(R)
     init_err = r0_norm / np.sqrt(lmax_up)
-    if r0_norm == 0.0:
-        return x, SolveReport(0, 0.0)
-
     # ||r_k|| <= target ensures the A-norm contraction <= theta.
     target = theta * r0_norm * np.sqrt(lmin_dn / lmax_up)
+    reports = [SolveReport(0, 0.0) for _ in range(RHS.shape[1])]
+    act = np.flatnonzero(r0_norm != 0.0)  # a zero residual is solved at once
 
-    z = M.apply(r)
-    p = z.copy()
-    rz = r @ z
+    def freeze(cols, Xc, rk_norm, k):
+        # Store finished columns cols of X, with their reports.
+        X[:, cols] = Xc
+        for j, rn in zip(cols, rk_norm):
+            reports[j] = SolveReport(k, rn / np.sqrt(lmin_dn) / init_err[j], rn > target[j])
+
+    Xa, Ra = X[:, act], R[:, act]
     k = 0
-    while k < iteration_cap:
-        Ap = A.csr @ p
-        pAp = p @ Ap
-        if pAp <= 0:
+    while act.size and k < iteration_cap:
+        Z = M.apply(Ra)
+        rz_new = _col_dots(Ra, Z)
+        P = Z if k == 0 else Z + (rz_new / rz) * P
+        rz = rz_new
+        AP = np.asfortranarray(A.csr @ P)
+        pAp = _col_dots(P, AP)
+        if (pAp <= 0).any():
             raise LinalgError("non-SPD matrix detected in PCG (p^T A p <= 0)")
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        Xa += alpha * P
+        Ra -= alpha * AP
         k += 1
-        if np.linalg.norm(r) <= target:
-            break
-        z = M.apply(r)
-        rz_new = r @ z
-        beta = rz_new / rz
-        rz = rz_new
-        p = z + beta * p
+        rk_norm = _col_norms(Ra)
+        done = rk_norm <= target[act]
+        if done.any():
+            freeze(act[done], Xa[:, done], rk_norm[done], k)
+            act, Xa, Ra, P, rz = act[~done], Xa[:, ~done], Ra[:, ~done], P[:, ~done], rz[~done]
+    freeze(act, Xa, _col_norms(Ra), k)  # columns stopped by the cap
+    return X, reports
 
-    rk_norm = np.linalg.norm(r)
-    final_err = rk_norm / np.sqrt(lmin_dn)
-    contraction = final_err / init_err
-    breakdown = rk_norm > target
-    return x, SolveReport(k, contraction, breakdown)
+
+def _col_dots(U, V):
+    """Per-column dot products of two Fortran-ordered blocks."""
+    return np.array([U[:, c] @ V[:, c] for c in range(U.shape[1])])
+
+
+def _col_norms(U):
+    return np.sqrt(_col_dots(U, U))  # rounds as np.linalg.norm of each column
 
 
 def dense_sym_gen_eig(A, B):
@@ -220,7 +244,9 @@ def reference_eigensolve(A: SparseMatrix, B: SparseMatrix, nev, tol, seed=0):
     ||A u - lambda B u|| / ||B u|| drops below tol (both relative to
     max(1, lambda)). Eigenvectors are a-normalized with the
     largest-magnitude component positive. A nev above n/4 is a
-    ConfigError: the pair count comes from the run configuration.
+    ConfigError: the pair count comes from the run configuration. An
+    inner solve that stops short of its contraction raises
+    ConvergenceError with the current pairs as payload.
     """
     n = A.n
     if nev > n // 4:
@@ -258,15 +284,17 @@ def reference_eigensolve(A: SparseMatrix, B: SparseMatrix, nev, tol, seed=0):
             vecs = [a_normalize(A, X[:, i]) for i in range(nev)]
             return np.array(lam[:nev]), np.column_stack(vecs)
 
-        # Inverse iteration sweep: X <- A^{-1} B X, warm-started at X/lam.
-        Y = np.empty_like(X)
-        for i in range(p):
-            li = lam[i] if lam[i] > 0 else 1.0
-            if i < nev and res_rel[i] < tol / 10:
-                Y[:, i] = X[:, i] / li  # effectively converged, skip the solve
-                continue
-            y, _ = pcg_solve(A, BX[:, i], x0=X[:, i] / li, theta=_REF_INNER_THETA)
-            Y[:, i] = y
+        # Inverse iteration sweep: X <- A^{-1} B X, warm-started at X/lam,
+        # one block solve over the columns not yet effectively converged.
+        Y = X / np.where(lam > 0, lam, 1.0)
+        solve = [i for i in range(p) if not (i < nev and res_rel[i] < tol / 10)]
+        Y[:, solve], reports = pcg_solve(A, BX[:, solve], Y[:, solve], theta=_REF_INNER_THETA)
+        broken = [i for i, r in zip(solve, reports) if r.breakdown]
+        if broken:
+            raise ConvergenceError(
+                f"reference eigensolver: inner solve for column {broken[0]} stopped short "
+                f"of theta={_REF_INNER_THETA:g} in sweep {sweep}",
+                payload=(np.array(lam[:nev]), X[:, :nev]))
         X = Y
 
     raise ConvergenceError(

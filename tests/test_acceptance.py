@@ -213,7 +213,8 @@ def test_criterion_7_kernel_oracles():
     for n in (10, 30, 50):
         M = SparseMatrix(sp.csr_matrix(random_spd(n, rng)))
         b = rng.standard_normal(n)
-        x, report = pcg_solve(M, b, theta=1e-12)
+        X, (report,) = pcg_solve(M, b[:, None], theta=1e-12)
+        x = X[:, 0]
         assert not report.breakdown
         pcg_diff = max(pcg_diff, np.linalg.norm(x - np.linalg.solve(M.csr.toarray(), b)))
 

@@ -101,23 +101,23 @@ def test_correction_degenerate_guard(square_pair, square_initial_state):
 
 
 def test_correction_breakdown_raises(square_pair, square_initial_state, monkeypatch):
-    # A PCG breakdown on the second slot stops the step, with the iterate
-    # and the report as payload.
+    # A PCG breakdown on the second slot stops the step, with that slot's
+    # iterate and report as payload. The m slots are one block solve.
     calls = []
 
     def pcg_breaking_on_second(*args, **kwargs):
-        x, report = pcg_solve(*args, **kwargs)
-        calls.append(x)
-        if len(calls) == 2:
-            report = dataclasses.replace(report, breakdown=True)
-        return x, report
+        X, reports = pcg_solve(*args, **kwargs)
+        calls.append(X)
+        reports[1] = dataclasses.replace(reports[1], breakdown=True)
+        return X, reports
 
     monkeypatch.setattr(augsub, "pcg_solve", pcg_breaking_on_second)
     with pytest.raises(ConvergenceError, match="slot 1") as exc:
         correction_solve(square_pair["A_h"], square_pair["B_h"], square_initial_state,
                          theta=0.1)
     x, report = exc.value.payload
-    assert len(calls) == 2 and x is calls[1]
+    assert len(calls) == 1 and calls[0].shape[1] == square_initial_state.m
+    assert np.array_equal(x, calls[0][:, 1])
     assert report.breakdown and report.iterations > 0
 
 

@@ -304,15 +304,16 @@ def test_timing_study_needs_three_levels(tmp_path):
 
 
 def test_step_records_count_pcg_iterations(tmp_path, monkeypatch):
-    """Each step record holds the iterations its correction solves reported."""
+    """Each step record holds the iterations its correction solve reported,
+    one block solve per step and one count per slot."""
     import augeig.augsub as augsub
 
     seen = []
 
     def recording_pcg(*args, **kwargs):
-        x, report = pcg_solve(*args, **kwargs)
-        seen.append(report.iterations)
-        return x, report
+        X, reports = pcg_solve(*args, **kwargs)
+        seen.append([r.iterations for r in reports])
+        return X, reports
 
     monkeypatch.setattr(augsub, "pcg_solve", recording_pcg)
     cfg = load_config_text(tmp_path, (
@@ -324,5 +325,5 @@ def test_step_records_count_pcg_iterations(tmp_path, monkeypatch):
     state = multilevel_solve(hier, cfg.plan, coarse_tol=1e-11)
     steps = state.records[1:]
     assert len(steps) == 2 * cfg.plan.L
-    assert [its for r in steps for its in r.pcg_iterations] == seen
-    assert all(its > 0 for its in seen)
+    assert [r.pcg_iterations for r in steps] == seen
+    assert all(its > 0 for call in seen for its in call)

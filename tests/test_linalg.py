@@ -1,11 +1,15 @@
 """Sparse container, PCG, dense generalized eigensolver, reference solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from augeig.errors import ConfigError, LinalgError
+import augeig.linalg as linalg
+from augeig.errors import ConfigError, ConvergenceError, LinalgError
 from augeig.linalg import (
+    SolveReport,
     SparseMatrix,
     a_normalize,
     dense_sym_gen_eig,
@@ -45,6 +49,28 @@ def test_sparse_matrix_basics():
     assert np.allclose(A.csr.diagonal(), 2.0)
 
 
+def _held_bytes(arr):
+    """Bytes of the buffer an array keeps alive (its outermost base)."""
+    while arr.base is not None:
+        arr = arr.base
+    return arr.nbytes
+
+
+def test_sparse_matrix_holds_exactly_nnz():
+    # Two stored zeros out of 15 entries: eliminate_zeros leaves views of
+    # the 15-entry arrays, which the container must not keep.
+    dense = np.diag(2.0 * np.ones(5)) - np.eye(5, k=1) - np.eye(5, k=-1)
+    coo = sp.coo_matrix(dense)
+    rows = np.concatenate([coo.row, [0, 2]])
+    cols = np.concatenate([coo.col, [2, 0]])
+    vals = np.concatenate([coo.data, [0.0, 0.0]])
+    A = SparseMatrix(sp.csr_matrix((vals, (rows, cols)), shape=(5, 5)))
+    assert A.nnz == 13
+    assert np.array_equal(A.csr.toarray(), dense)
+    for arr in (A.csr.data, A.csr.indices):
+        assert _held_bytes(arr) == A.nnz * arr.itemsize
+
+
 def test_eig_bounds_bracket_spectrum():
     # Well-separated spectrum so 20 power steps are enough to be sharp.
     A = SparseMatrix(sp.diags(np.arange(1.0, 11.0)).tocsr())
@@ -55,14 +81,88 @@ def test_eig_bounds_bracket_spectrum():
 
 # -- PCG -------------------------------------------------------------------
 
+def _single_rhs_pcg(A, rhs, x0, theta):
+    """Oracle: the single-vector SSOR-PCG loop that the block solver
+    replaced, step for step, with the same stopping rule and report."""
+    x = np.array(x0, dtype=float)
+    M = A.ssor()
+    lmin, lmax = A.eig_bounds()
+    lmax_up = lmax * linalg._LMAX_INFLATE
+    lmin_dn = lmin * linalg._LMIN_DEFLATE
+    r = rhs - A.csr @ x
+    r0_norm = np.linalg.norm(r)
+    init_err = r0_norm / np.sqrt(lmax_up)
+    if r0_norm == 0.0:
+        return x, SolveReport(0, 0.0)
+    target = theta * r0_norm * np.sqrt(lmin_dn / lmax_up)
+
+    def precondition(r):
+        return M._upper.solve(M._lower.solve(r) * M._dscale)
+
+    z = precondition(r)
+    p = z.copy()
+    rz = r @ z
+    k = 0
+    while k < max(1000, 10 * A.n):
+        Ap = A.csr @ p
+        alpha = rz / (p @ Ap)
+        x += alpha * p
+        r -= alpha * Ap
+        k += 1
+        if np.linalg.norm(r) <= target:
+            break
+        z = precondition(r)
+        rz_new = r @ z
+        beta = rz_new / rz
+        rz = rz_new
+        p = z + beta * p
+    rk_norm = np.linalg.norm(r)
+    return x, SolveReport(k, rk_norm / np.sqrt(lmin_dn) / init_err, rk_norm > target)
+
+
+def _assert_matches_oracle(A, RHS, X0, theta):
+    X, reports = pcg_solve(A, RHS, X0, theta=theta)
+    assert X.shape == RHS.shape and len(reports) == RHS.shape[1]
+    for j in range(RHS.shape[1]):
+        x, report = _single_rhs_pcg(A, RHS[:, j], X0[:, j], theta)
+        assert np.array_equal(X[:, j], x)
+        assert reports[j] == report
+    return reports
+
+
+def test_pcg_block_matches_single_vector_oracle():
+    n = 120
+    A = laplacian_1d(n)
+    rng = np.random.default_rng(8)
+    x_true = rng.standard_normal(n)
+    smooth = np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+    RHS = np.column_stack([
+        np.zeros(n),                      # zero right-hand side from zero
+        A.csr @ x_true,                   # starts at its solution
+        rng.standard_normal(n),
+        smooth,
+        1e3 * rng.standard_normal(n),
+        A.csr @ x_true,                   # warm start near its solution
+    ])
+    X0 = np.zeros((n, 6))
+    X0[:, 1] = x_true
+    X0[:, 5] = x_true + 1e-3 * rng.standard_normal(n)
+    for theta in (0.5, 0.1, 1e-6):
+        reports = _assert_matches_oracle(A, RHS, X0, theta)
+        assert reports[0].iterations == 0 and reports[1].iterations == 0
+        its = {r.iterations for r in reports[2:]}
+        assert len(its) >= 2, its  # columns stop at different iterations
+        assert not any(r.breakdown for r in reports)
+
+
 def test_pcg_matches_dense_solve():
     rng = np.random.default_rng(11)
     for n in (5, 20, 50):
         A = SparseMatrix(sp.csr_matrix(random_spd(n, rng)))
         b = rng.standard_normal(n)
-        x, report = pcg_solve(A, b, theta=1e-12)
+        X, (report,) = pcg_solve(A, b[:, None], theta=1e-12)
         assert not report.breakdown
-        assert np.linalg.norm(x - np.linalg.solve(A.csr.toarray(), b)) < 1e-9
+        assert np.linalg.norm(X[:, 0] - np.linalg.solve(A.csr.toarray(), b)) < 1e-9
 
 
 def test_pcg_contraction_guarantee():
@@ -71,11 +171,11 @@ def test_pcg_contraction_guarantee():
     b = rng.standard_normal(120)
     for theta in (0.5, 0.1, 0.01):
         x_true = np.linalg.solve(A.csr.toarray(), b)
-        x, report = pcg_solve(A, b, theta=theta)
+        X, (report,) = pcg_solve(A, b[:, None], theta=theta)
         assert not report.breakdown
         assert report.achieved_contraction <= theta
         # True A-norm contraction is bounded by the reported conservative one.
-        e = x - x_true
+        e = X[:, 0] - x_true
         e0 = -x_true
         true_con = np.sqrt((e @ (A.csr @ e)) / (e0 @ (A.csr @ e0)))
         assert true_con <= theta
@@ -85,33 +185,37 @@ def test_pcg_warm_start_exact():
     A = laplacian_1d(30)
     x_true = np.linspace(0, 1, 30)
     b = A.csr @ x_true
-    x, report = pcg_solve(A, b, x0=x_true.copy(), theta=0.1)
+    X, (report,) = pcg_solve(A, b[:, None], x_true[:, None], theta=0.1)
     assert report.iterations == 0
-    assert np.array_equal(x, x_true)
+    assert np.array_equal(X[:, 0], x_true)
 
 
 def test_pcg_rejects_bad_theta():
     A = laplacian_1d(5)
     with pytest.raises(LinalgError):
-        pcg_solve(A, np.ones(5), theta=0.0)
+        pcg_solve(A, np.ones((5, 1)), theta=0.0)
     with pytest.raises(LinalgError):
-        pcg_solve(A, np.ones(5), theta=1.5)
+        pcg_solve(A, np.ones((5, 1)), theta=1.5)
 
 
 def test_pcg_rejects_dimension_mismatch():
     with pytest.raises(LinalgError):
-        pcg_solve(laplacian_1d(5), np.ones(4), theta=0.5)
+        pcg_solve(laplacian_1d(5), np.ones((4, 1)), theta=0.5)
+    with pytest.raises(LinalgError):
+        pcg_solve(laplacian_1d(5), np.ones(5), theta=0.5)  # a vector, not a block
+    with pytest.raises(LinalgError):
+        pcg_solve(laplacian_1d(5), np.ones((5, 2)), np.ones((5, 1)), theta=0.5)
 
 
 def test_pcg_detects_indefinite():
     # A nonpositive diagonal stops the SSOR set-up before CG runs.
     A = SparseMatrix(sp.diags([1.0, -1.0]).tocsr())
     with pytest.raises(LinalgError, match="not SPD"):
-        pcg_solve(A, np.array([1.0, 1.0]), theta=0.5)
+        pcg_solve(A, np.ones((2, 1)), theta=0.5)
     # A positive diagonal with eigenvalues 3 and -1 reaches CG's curvature guard.
     A = SparseMatrix(sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
     with pytest.raises(LinalgError, match=r"p\^T A p <= 0"):
-        pcg_solve(A, np.array([1.0, 1.0]), theta=0.5)
+        pcg_solve(A, np.ones((2, 1)), theta=0.5)
 
 
 def _plain_cg_iterations(A, b, target):
@@ -138,9 +242,9 @@ def test_ssor_accelerates():
     # reach the residual that SSOR-preconditioned CG reached.
     A = laplacian_1d(200)
     b = np.ones(200)
-    x, ssor = pcg_solve(A, b, theta=1e-8)
+    X, (ssor,) = pcg_solve(A, b[:, None], theta=1e-8)
     assert not ssor.breakdown
-    plain = _plain_cg_iterations(A, b, np.linalg.norm(b - A.csr @ x))
+    plain = _plain_cg_iterations(A, b, np.linalg.norm(b - A.csr @ X[:, 0]))
     assert ssor.iterations < plain
 
 
@@ -248,3 +352,25 @@ def test_reference_nev_guard():
     with pytest.raises(ConfigError):
         reference_eigensolve(A, B, 5, 1e-8)
 
+
+
+def test_reference_inner_breakdown_raises(monkeypatch):
+    # A breakdown in any column of a sweep's block solve stops the
+    # reference solver, with the current pairs as payload.
+    n = 40
+    A = laplacian_1d(n)
+    B = SparseMatrix(sp.identity(n, format="csr"))
+    calls = []
+
+    def pcg_breaking(*args, **kwargs):
+        X, reports = pcg_solve(*args, **kwargs)
+        calls.append(X.shape[1])
+        reports[-1] = dataclasses.replace(reports[-1], breakdown=True)
+        return X, reports
+
+    monkeypatch.setattr(linalg, "pcg_solve", pcg_breaking)
+    with pytest.raises(ConvergenceError, match="inner solve for column 6") as exc:
+        reference_eigensolve(A, B, 2, 1e-11)
+    lams, vecs = exc.value.payload
+    assert calls == [7]  # one block solve over all nev + 5 columns
+    assert lams.shape == (2,) and vecs.shape == (n, 2)
