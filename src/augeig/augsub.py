@@ -33,16 +33,17 @@ class EigenState:
 
 
 def correction_solve(A_h: SparseMatrix, B_h: SparseMatrix, state: EigenState,
-                     theta):
+                     theta, M):
     """Solve A u~ = lambda B u for each tracked pair, then a-orthonormalize.
 
-    One block PCG over the m slots; each slot starts from its current
-    iterate and must contract its A-norm error by at least theta. A slot
-    that stops at its iteration cap raises ConvergenceError with
-    (iterate, report) as payload. Returns (U_tilde, reports).
+    One block PCG over the m slots, preconditioned by M (built for A_h);
+    each slot starts from its current iterate and must contract its
+    A-norm error by at least theta. A slot that stops at its iteration
+    cap raises ConvergenceError with (iterate, report) as payload.
+    Returns (U_tilde, reports).
     """
     X, reports = pcg_solve(A_h, (B_h.csr @ state.vectors) * state.lambdas,
-                           state.vectors, theta=theta)
+                           state.vectors, theta, M)
     for j, report in enumerate(reports):
         if report.breakdown:
             raise ConvergenceError(
@@ -114,16 +115,17 @@ def reassemble_fine(u_H, xi, P, u_tilde, A_h):
     return a_normalize(A_h, v)
 
 
-def aug_subspace_step(assembler, state: EigenState, theta) -> EigenState:
-    """One full augmented subspace iteration.
+def aug_subspace_step(level, state: EigenState, theta) -> EigenState:
+    """One full augmented subspace iteration on a fine level.
 
     correction solve -> border assembly -> bordered eigenproblem ->
-    selection -> fine reassembly. Level data (matrices, transfer) live in
-    the assembler and are never mutated. The new state carries the
-    correction solves' reports, one per slot of the input state.
+    selection -> fine reassembly. ``level`` is the level's LevelData: its
+    matrices, PCG preconditioner and cross assembler (which holds the
+    transfer), none of them mutated. The new state carries the correction
+    solves' reports, one per slot of the input state.
     """
-    A_h = assembler.A_h
-    U, reports = correction_solve(A_h, assembler.B_h, state, theta)
+    A_h, assembler = level.A_h, level.assembler
+    U, reports = correction_solve(A_h, level.B_h, state, theta, level.precond)
     sys = assembler.assemble(U)
     lambdas, u_H, xi = solve_bordered(sys)
     selected = select_eigenpairs(lambdas, u_H, xi, sys, state.m)

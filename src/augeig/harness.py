@@ -56,25 +56,32 @@ def example1():
     """Square with two circular inclusions tangent at the center.
 
     The inclusion radius is 1/3, matching the region definition
-    (x - 2/3)^2 + (y - 1)^2 <= 1/9.
+    (x - 2/3)^2 + (y - 1)^2 <= 1/9. No cluster: the geometry's only
+    symmetries are the two mirrors x = 1 and y = 1, which force no
+    multiple eigenvalue, and lambda_2, lambda_3 lie 5-6% apart.
     """
     return ExampleSpec(
         name="example1",
         domain=Rect(0.0, 0.0, 2.0, 2.0),
         circles=[Circle((2 / 3, 1.0), 1 / 3), Circle((4 / 3, 1.0), 1 / 3)],
         circle_k=[10.0, 10.0],
-        clusters=[[1, 2]],  # second and third eigenvalues are multiple
     )
 
 
 def example2():
-    """Square partitioned into five parts by four circles of radius 0.25."""
+    """Square partitioned into five parts by four circles of radius 0.25.
+
+    The geometry is symmetric under a 90-degree rotation about the
+    center, so lambda_2 = lambda_3 is a double eigenvalue (slots 2 and 3).
+    The fitted mesh splits it by a relative gap that shrinks like h^2.
+    """
     centers = [(0.5, 0.5), (1.5, 0.5), (0.5, 1.5), (1.5, 1.5)]
     return ExampleSpec(
         name="example2",
         domain=Rect(0.0, 0.0, 2.0, 2.0),
         circles=[Circle(c, 0.25) for c in centers],
         circle_k=[10.0] * 4,
+        clusters=[[1, 2]],
     )
 
 
@@ -270,7 +277,7 @@ class RunResult:
 
 def _reference_for_level(level, nev, clusters, seed):
     need = max([nev] + [c[-1] + 1 for c in clusters]) if clusters else nev
-    return reference_eigensolve(level.A_h, level.B_h, need, 1e-11, seed=seed)
+    return reference_eigensolve(level.A_h, level.B_h, need, 1e-11, level.precond, seed=seed)
 
 
 def run_example(config: RunConfig) -> RunResult:

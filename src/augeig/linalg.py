@@ -30,11 +30,7 @@ _REF_INNER_THETA = 0.05
 
 
 class SparseMatrix:
-    """Square symmetric sparse matrix in compressed-row form.
-
-    Immutable after construction; spectrum estimates and the SSOR
-    preconditioner are cached on the instance.
-    """
+    """Square symmetric sparse matrix in compressed-row form; no solver state."""
 
     def __init__(self, csr):
         csr = sp.csr_matrix(csr)
@@ -49,8 +45,6 @@ class SparseMatrix:
         if asym.nnz and asym.max() != 0.0:
             raise LinalgError("matrix is not numerically symmetric")
         self.csr = csr
-        self._eig_bounds = None
-        self._ssor = None
 
     @property
     def n(self):
@@ -59,43 +53,6 @@ class SparseMatrix:
     @property
     def nnz(self):
         return self.csr.nnz
-
-    def eig_bounds(self):
-        """Cached (lambda_min, lambda_max) estimates via power iteration.
-
-        20 power steps for the largest eigenvalue, then 20 steps on the
-        shifted matrix for the smallest one.
-        """
-        if self._eig_bounds is None:
-            rng = np.random.default_rng(0)
-            v = rng.standard_normal(self.n)
-            v /= np.linalg.norm(v)
-            for _ in range(20):
-                w = self.csr @ v
-                nw = np.linalg.norm(w)
-                if nw == 0:
-                    break
-                v = w / nw
-            lmax = float(v @ (self.csr @ v))
-
-            shift = lmax * _LMAX_INFLATE
-            v = rng.standard_normal(self.n)
-            v /= np.linalg.norm(v)
-            for _ in range(20):
-                w = shift * v - self.csr @ v
-                nw = np.linalg.norm(w)
-                if nw == 0:
-                    break
-                v = w / nw
-            lmin = shift - float(shift * (v @ v) - v @ (self.csr @ v))
-            lmin = max(lmin, 1e-300)
-            self._eig_bounds = (lmin, lmax)
-        return self._eig_bounds
-
-    def ssor(self):
-        if self._ssor is None:
-            self._ssor = _SsorPreconditioner(self.csr)
-        return self._ssor
 
 
 @dataclass
@@ -106,7 +63,8 @@ class SolveReport:
 
 
 class _SsorPreconditioner:
-    """Symmetric SOR preconditioner applied through triangular solves."""
+    """Symmetric SOR preconditioner applied through triangular solves, with
+    its matrix's spectrum bounds lmin, lmax for the PCG stopping rule."""
 
     def __init__(self, csr):
         omega = _SSOR_OMEGA
@@ -120,6 +78,9 @@ class _SsorPreconditioner:
         self._lower = spla.splu(lower, **opts)
         self._upper = spla.splu(upper, **opts)
         self._dscale = (d / omega) * (2.0 - omega) / omega
+        self.lmin, self.lmax = _power_bounds(csr)
+        if self.lmax <= 0:
+            raise LinalgError("non-SPD matrix detected (nonpositive spectrum)")
 
     def apply(self, R):
         """M^-1 R for an (n, k) block, column by column inside SuperLU."""
@@ -128,22 +89,48 @@ class _SsorPreconditioner:
         return self._upper.solve(Z)
 
 
-def pcg_solve(A: SparseMatrix, RHS, X0=None, theta=1e-8):
-    """SSOR-preconditioned conjugate gradients on an (n, k) block of
-    right-hand sides, until each column's A-norm error contraction is
-    <= theta. Returns (X, reports): the (n, k) solutions, Fortran-ordered,
-    and one SolveReport per column.
+def _power_bounds(csr):
+    """(lambda_min, lambda_max) estimates: 20 power steps for the largest
+    eigenvalue, then 20 on the shifted matrix for the smallest one."""
+    rng = np.random.default_rng(0)
+
+    def dominant(op):  # unit vector after 20 power steps of op from a random start
+        v = rng.standard_normal(csr.shape[0])
+        v /= np.linalg.norm(v)
+        for _ in range(20):
+            w = op(v)
+            nw = np.linalg.norm(w)
+            if nw == 0:
+                break
+            v = w / nw
+        return v
+
+    v = dominant(lambda x: csr @ x)
+    lmax = float(v @ (csr @ v))
+    shift = lmax * _LMAX_INFLATE
+    v = dominant(lambda x: shift * x - csr @ x)
+    lmin = shift - float(shift * (v @ v) - v @ (csr @ v))
+    return max(lmin, 1e-300), lmax
+
+
+def pcg_solve(A: SparseMatrix, RHS, X0, theta, M):
+    """Preconditioned conjugate gradients on an (n, k) block of right-hand
+    sides from X0 (None: zero), until each column's A-norm error contraction
+    is <= theta. M is built for A: M.apply(R) is M^-1 R for a block, and
+    M.lmin, M.lmax bound A's spectrum. Returns (X, reports): the (n, k)
+    solutions, Fortran-ordered, and one SolveReport per column.
 
     The columns are uncoupled: each keeps its own Krylov space, step
     lengths and stopping test, and a column that has converged is frozen.
-    Per iteration the active columns share one SpMM and one block SSOR
-    apply. Every dot product and norm runs on a contiguous column, so each
-    column's iterates are bit-identical to a single-vector CG.
+    Per iteration the active columns share one SpMM and one block M apply.
+    Every dot product and norm runs on a contiguous column, so each
+    column's iterates are bit-identical to a single-vector CG. A
+    nonpositive r^T z (M not SPD) or p^T A p (A not SPD) raises LinalgError.
 
     The contraction is enforced through the residual bound
     ||e_k||_A <= ||r_k|| / sqrt(lambda_min) against the lower bound
-    ||e_0||_A >= ||r_0|| / sqrt(lambda_max), with conservative spectrum
-    estimates cached on A.
+    ||e_0||_A >= ||r_0|| / sqrt(lambda_max), with M's spectrum estimates
+    made conservative by fixed margins.
     """
     if not 0 < theta < 1:
         raise LinalgError(f"contraction target must lie in (0,1), got {theta}")
@@ -154,14 +141,8 @@ def pcg_solve(A: SparseMatrix, RHS, X0=None, theta=1e-8):
     if X.shape != RHS.shape:
         raise LinalgError("start block and right-hand sides differ in shape")
     iteration_cap = max(1000, 10 * A.n)
-
-    M = A.ssor()
-
-    lmin, lmax = A.eig_bounds()
-    if lmax <= 0:
-        raise LinalgError("non-SPD matrix detected in PCG (nonpositive spectrum)")
-    lmax_up = lmax * _LMAX_INFLATE
-    lmin_dn = lmin * _LMIN_DEFLATE
+    lmax_up = M.lmax * _LMAX_INFLATE
+    lmin_dn = M.lmin * _LMIN_DEFLATE
 
     R = np.asfortranarray(RHS - A.csr @ X)
     r0_norm = _col_norms(R)
@@ -182,6 +163,8 @@ def pcg_solve(A: SparseMatrix, RHS, X0=None, theta=1e-8):
     while act.size and k < iteration_cap:
         Z = M.apply(Ra)
         rz_new = _col_dots(Ra, Z)
+        if (rz_new <= 0).any():
+            raise LinalgError("non-SPD preconditioner detected in PCG (r^T z <= 0)")
         P = Z if k == 0 else Z + (rz_new / rz) * P
         rz = rz_new
         AP = np.asfortranarray(A.csr @ P)
@@ -235,11 +218,12 @@ def a_normalize(A: SparseMatrix, v):
     return v
 
 
-def reference_eigensolve(A: SparseMatrix, B: SparseMatrix, nev, tol, seed=0):
+def reference_eigensolve(A: SparseMatrix, B: SparseMatrix, nev, tol, M, seed=0):
     """Smallest nev eigenpairs of A u = lambda B u.
 
     Block inverse-subspace iteration (block size nev + 5) with inner PCG
-    solves and a Rayleigh-Ritz projection per sweep. Converged when every
+    solves, preconditioned by M (built for A), and a Rayleigh-Ritz
+    projection per sweep. Converged when every
     tracked eigenvalue changes by less than tol and the scaled residual
     ||A u - lambda B u|| / ||B u|| drops below tol (both relative to
     max(1, lambda)). Eigenvectors are a-normalized with the
@@ -288,7 +272,7 @@ def reference_eigensolve(A: SparseMatrix, B: SparseMatrix, nev, tol, seed=0):
         # one block solve over the columns not yet effectively converged.
         Y = X / np.where(lam > 0, lam, 1.0)
         solve = [i for i in range(p) if not (i < nev and res_rel[i] < tol / 10)]
-        Y[:, solve], reports = pcg_solve(A, BX[:, solve], Y[:, solve], theta=_REF_INNER_THETA)
+        Y[:, solve], reports = pcg_solve(A, BX[:, solve], Y[:, solve], _REF_INNER_THETA, M)
         broken = [i for i, r in zip(solve, reports) if r.breakdown]
         if broken:
             raise ConvergenceError(

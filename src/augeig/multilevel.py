@@ -20,7 +20,7 @@ from .fem import (
     build_space,
     build_transfer,
 )
-from .linalg import SparseMatrix, a_normalize, reference_eigensolve
+from .linalg import SparseMatrix, _SsorPreconditioner, a_normalize, reference_eigensolve
 from .mesh import classify_regions, fit_interfaces, generate_structured_mesh
 
 
@@ -57,6 +57,7 @@ class LevelData:
     space: FeSpace
     A_h: SparseMatrix
     B_h: SparseMatrix
+    precond: _SsorPreconditioner           # PCG preconditioner of A_h, with its spectrum bounds
     assembler: CrossAssembler = None       # cross assembly against V_H
     transfer_prev: "object" = None         # fine-to-fine interpolation Q
 
@@ -101,7 +102,8 @@ def build_hierarchy(plan: LevelPlan, domain, circles, coeff) -> Hierarchy:
     """Meshes, spaces, operators and transfers for every level.
 
     Each resolution is meshed independently (structured grid plus
-    interface snapping), so successive levels are nonnested.
+    interface snapping), so successive levels are nonnested. Each level's
+    PCG preconditioner is built here, once, so that no solve pays for it.
     """
     coarse_space = build_space(_fitted_mesh(domain, circles, plan.coarse_h))
 
@@ -116,6 +118,7 @@ def build_hierarchy(plan: LevelPlan, domain, circles, coeff) -> Hierarchy:
                                    mode=plan.mode)
         Q = build_transfer(prev_space, space) if prev_space is not None else None
         levels.append(LevelData(space=space, A_h=A_h, B_h=B_h,
+                                precond=_SsorPreconditioner(A_h.csr),
                                 assembler=assembler, transfer_prev=Q))
         prev_space = space
     return Hierarchy(coarse_space=coarse_space, levels=levels)
@@ -123,7 +126,8 @@ def build_hierarchy(plan: LevelPlan, domain, circles, coeff) -> Hierarchy:
 
 def coarsest_solve(level1: LevelData, nev, tol=1e-11, seed=0) -> EigenState:
     """Reference eigensolve on the first fine level."""
-    lams, vecs = reference_eigensolve(level1.A_h, level1.B_h, nev, tol, seed=seed)
+    lams, vecs = reference_eigensolve(level1.A_h, level1.B_h, nev, tol, level1.precond,
+                                      seed=seed)
     return EigenState(lambdas=lams, vectors=vecs, iteration=0)
 
 
@@ -152,7 +156,7 @@ def multilevel_solve(hierarchy: Hierarchy, plan: LevelPlan, coarse_tol=1e-11,
         error_fn = error_fns[k - 1] if error_fns is not None else None
         for ell in range(plan.L):
             t1 = time.perf_counter()
-            state = aug_subspace_step(level.assembler, state, plan.theta)
+            state = aug_subspace_step(level, state, plan.theta)
             seconds = time.perf_counter() - t1
             records.append(StepRecord(
                 level=k, iteration=ell + 1, n_dof=level.space.n_dof,

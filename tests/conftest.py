@@ -13,7 +13,8 @@ from scipy.sparse.linalg import eigsh
 from augeig.augsub import EigenState
 from augeig.fem import CrossAssembler, assemble_mass, assemble_stiffness, build_space, build_transfer
 from augeig.harness import example1, unit_square
-from augeig.linalg import a_normalize, reference_eigensolve
+from augeig.linalg import _SsorPreconditioner, a_normalize, reference_eigensolve
+from augeig.multilevel import LevelData
 from augeig import mesh
 
 
@@ -31,6 +32,11 @@ def eigsh_reference(A, B, nev):
     lams, vecs = eigsh(A.csr, k=nev, M=B.csr, sigma=0, which="LM", v0=np.ones(A.n))
     order = np.argsort(lams)
     return lams[order], np.column_stack([a_normalize(A, vecs[:, j]) for j in order])
+
+
+def ssor(A):
+    """The SSOR preconditioner of A, as build_hierarchy makes one per level."""
+    return _SsorPreconditioner(A.csr)
 
 
 def full_scan_locate(m, points):
@@ -82,7 +88,8 @@ def ex1_coarse_mesh(ex1):
 
 @pytest.fixture(scope="session")
 def square_pair():
-    """(coarse, fine) spaces and fine operators for the constant-coefficient case."""
+    """(coarse, fine) spaces, fine operators and the fine LevelData for the
+    constant-coefficient case."""
     ex = unit_square()
     coeff = ex.coefficient()
     coarse = build_space(fitted_mesh(ex, 0.25))
@@ -91,9 +98,10 @@ def square_pair():
     B_h = assemble_mass(fine)
     P = build_transfer(coarse, fine)
     assembler = CrossAssembler(coarse, fine, coeff, A_h, B_h, P, mode="galerkin")
+    level = LevelData(space=fine, A_h=A_h, B_h=B_h, precond=ssor(A_h), assembler=assembler)
     return {
         "ex": ex, "coeff": coeff, "coarse": coarse, "fine": fine,
-        "A_h": A_h, "B_h": B_h, "P": P, "assembler": assembler,
+        "A_h": A_h, "B_h": B_h, "P": P, "assembler": assembler, "level": level,
     }
 
 
@@ -109,7 +117,7 @@ def square_initial_state(square_pair):
     sp = square_pair
     A_H = assemble_stiffness(sp["coarse"], sp["coeff"])
     B_H = assemble_mass(sp["coarse"])
-    lams, vecs = reference_eigensolve(A_H, B_H, 3, 1e-11)
+    lams, vecs = reference_eigensolve(A_H, B_H, 3, 1e-11, ssor(A_H))
     V = sp["P"] @ vecs
     for j in range(V.shape[1]):
         V[:, j] = a_normalize(sp["A_h"], V[:, j])

@@ -29,7 +29,7 @@ from augeig.harness import (
 from augeig.linalg import SparseMatrix, a_normalize, pcg_solve, reference_eigensolve
 from augeig.multilevel import LevelPlan, build_hierarchy, multilevel_solve
 
-from conftest import eigsh_reference, fitted_mesh
+from conftest import eigsh_reference, fitted_mesh, ssor
 from test_linalg import charpoly_roots, random_spd
 
 EXACT_L1 = np.pi ** 2 / 2       # (0,2)^2 Dirichlet Laplacian, first eigenvalue
@@ -52,7 +52,6 @@ def _contraction_study(ex, coarse_h, fine_h, steps, floor, nev=4):
     plan = LevelPlan(coarse_h=coarse_h, h1=fine_h, n_levels=1, nev=nev, theta=0.1)
     hier = build_hierarchy(plan, ex.domain, ex.circles, ex.coefficient())
     lev = hier.levels[0]
-    asm = lev.assembler
     ref = eigsh_reference(lev.A_h, lev.B_h, nev)
     clusters = detect_clusters(ref[0])
 
@@ -60,17 +59,17 @@ def _contraction_study(ex, coarse_h, fine_h, steps, floor, nev=4):
         return measure_errors(V, ref[1], clusters, lev.A_h)
 
     coeff = ex.coefficient()
-    cl, cv = reference_eigensolve(
-        assemble_stiffness(hier.coarse_space, coeff),
-        assemble_mass(hier.coarse_space), nev, 1e-12)
-    V = asm.P @ cv
+    A_H = assemble_stiffness(hier.coarse_space, coeff)
+    cl, cv = reference_eigensolve(A_H, assemble_mass(hier.coarse_space), nev, 1e-12,
+                                  ssor(A_H))
+    V = lev.assembler.P @ cv
     for j in range(nev):
         V[:, j] = a_normalize(lev.A_h, V[:, j])
     state = EigenState(lambdas=cl.copy(), vectors=V, iteration=0)
 
     block = [float(np.linalg.norm(err(state.vectors)))]
     for _ in range(steps):
-        state = aug_subspace_step(asm, state, plan.theta)
+        state = aug_subspace_step(lev, state, plan.theta)
         block.append(float(np.linalg.norm(err(state.vectors))))
 
     ratios = [block[k] / block[k - 1] for k in range(1, len(block))
@@ -110,7 +109,7 @@ def test_criterion_2_interface_eigenvalues(ex1):
     state = multilevel_solve(hier, plan, coarse_tol=1e-11)
     while (np.abs(state.lambdas - ref_lams).max() >= 1e-9
            and state.iteration < 6):
-        state = aug_subspace_step(finest.assembler, state, plan.theta)
+        state = aug_subspace_step(finest, state, plan.theta)
     elapsed = time.perf_counter() - t0
 
     err = np.abs(state.lambdas - ref_lams).max()
@@ -213,7 +212,7 @@ def test_criterion_7_kernel_oracles():
     for n in (10, 30, 50):
         M = SparseMatrix(sp.csr_matrix(random_spd(n, rng)))
         b = rng.standard_normal(n)
-        X, (report,) = pcg_solve(M, b[:, None], theta=1e-12)
+        X, (report,) = pcg_solve(M, b[:, None], None, 1e-12, ssor(M))
         x = X[:, 0]
         assert not report.breakdown
         pcg_diff = max(pcg_diff, np.linalg.norm(x - np.linalg.solve(M.csr.toarray(), b)))

@@ -26,7 +26,7 @@ from augeig.fem import (
 from augeig.harness import measure_errors
 from augeig.linalg import a_normalize, dense_sym_gen_eig, pcg_solve, reference_eigensolve
 
-from conftest import fitted_mesh
+from conftest import fitted_mesh, ssor
 
 
 def _block_error(vectors, ref, clusters, A_h):
@@ -37,7 +37,7 @@ def test_first_step_contracts(square_pair, square_reference, square_initial_stat
     A_h = square_pair["A_h"]
     clusters = [[1, 2]]
     e0 = _block_error(square_initial_state.vectors, square_reference, clusters, A_h)
-    state = aug_subspace_step(square_pair["assembler"], square_initial_state, theta=0.1)
+    state = aug_subspace_step(square_pair["level"], square_initial_state, theta=0.1)
     e1 = _block_error(state.vectors, square_reference, clusters, A_h)
     assert e0 > 0
     assert e1 < 0.5 * e0
@@ -49,7 +49,7 @@ def test_eigenvalues_decrease_toward_reference(square_pair, square_reference,
                                                square_initial_state):
     state = square_initial_state
     for _ in range(3):
-        state = aug_subspace_step(square_pair["assembler"], state, theta=0.1)
+        state = aug_subspace_step(square_pair["level"], state, theta=0.1)
         # Galerkin sandwich: iterates stay above the fine-space eigenvalues.
         assert (state.lambdas >= square_reference[0] - 1e-10).all()
     assert np.abs(state.lambdas - square_reference[0]).max() < 1e-6
@@ -58,7 +58,7 @@ def test_eigenvalues_decrease_toward_reference(square_pair, square_reference,
 def test_step_is_idempotent_at_convergence(square_pair, square_reference):
     lams, vecs = square_reference
     state = EigenState(lambdas=lams.copy(), vectors=vecs.copy(), iteration=0)
-    new = aug_subspace_step(square_pair["assembler"], state, theta=0.1)
+    new = aug_subspace_step(square_pair["level"], state, theta=0.1)
     assert np.abs(new.lambdas - lams).max() < 1e-9
     for j in range(3):
         diff = min(
@@ -74,7 +74,7 @@ def test_step_does_not_mutate_inputs(square_pair, square_initial_state):
     A_H_before = asm.A_H.toarray()
     vecs_before = square_initial_state.vectors.copy()
     lams_before = square_initial_state.lambdas.copy()
-    aug_subspace_step(asm, square_initial_state, theta=0.1)
+    aug_subspace_step(square_pair["level"], square_initial_state, theta=0.1)
     assert np.array_equal(asm.A_H.toarray(), A_H_before)
     assert np.array_equal(square_initial_state.vectors, vecs_before)
     assert np.array_equal(square_initial_state.lambdas, lams_before)
@@ -83,7 +83,7 @@ def test_step_does_not_mutate_inputs(square_pair, square_initial_state):
 def test_correction_solve_orthonormalizes(square_pair, square_initial_state):
     A_h = square_pair["A_h"]
     U, reports = correction_solve(A_h, square_pair["B_h"], square_initial_state,
-                                  theta=0.1)
+                                  theta=0.1, M=square_pair["level"].precond)
     G = U.T @ (A_h.csr @ U)
     assert np.allclose(G, np.eye(3), atol=1e-10)
     for r in reports:
@@ -97,7 +97,8 @@ def test_correction_degenerate_guard(square_pair, square_initial_state):
         vectors=np.column_stack([st.vectors[:, 0], st.vectors[:, 0]]),
     )
     with pytest.raises(LinalgError, match="degenerate"):
-        correction_solve(square_pair["A_h"], square_pair["B_h"], dup, theta=0.1)
+        correction_solve(square_pair["A_h"], square_pair["B_h"], dup, theta=0.1,
+                         M=square_pair["level"].precond)
 
 
 def test_correction_breakdown_raises(square_pair, square_initial_state, monkeypatch):
@@ -114,7 +115,7 @@ def test_correction_breakdown_raises(square_pair, square_initial_state, monkeypa
     monkeypatch.setattr(augsub, "pcg_solve", pcg_breaking_on_second)
     with pytest.raises(ConvergenceError, match="slot 1") as exc:
         correction_solve(square_pair["A_h"], square_pair["B_h"], square_initial_state,
-                         theta=0.1)
+                         theta=0.1, M=square_pair["level"].precond)
     x, report = exc.value.payload
     assert len(calls) == 1 and calls[0].shape[1] == square_initial_state.m
     assert np.array_equal(x, calls[0][:, 1])
@@ -169,11 +170,11 @@ def ex1_bordered(request, ex1):
     fine = build_space(fitted_mesh(ex1, 2 / 19))
     A_h, B_h = assemble_stiffness(fine, coeff), assemble_mass(fine)
     P = build_transfer(coarse, fine)
-    lams, vecs = reference_eigensolve(assemble_stiffness(coarse, coeff),
-                                      assemble_mass(coarse), 4, 1e-11)
+    A_H = assemble_stiffness(coarse, coeff)
+    lams, vecs = reference_eigensolve(A_H, assemble_mass(coarse), 4, 1e-11, ssor(A_H))
     state = EigenState(lambdas=lams,
                        vectors=np.column_stack([a_normalize(A_h, v) for v in (P @ vecs).T]))
-    U, _ = correction_solve(A_h, B_h, state, theta=0.1)
+    U, _ = correction_solve(A_h, B_h, state, theta=0.1, M=ssor(A_h))
     return CrossAssembler(coarse, fine, coeff, A_h, B_h, P, request.param).assemble(U)
 
 

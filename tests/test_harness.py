@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from augeig import mesh
 from augeig.errors import ConfigError
+from augeig.fem import assemble_mass, assemble_stiffness, build_space
 from augeig.harness import (
     CONFIG_KEYS,
     CSV_HEADER,
@@ -15,6 +17,7 @@ from augeig.harness import (
     RunConfig,
     detect_clusters,
     example1,
+    example2,
     load_config,
     measure_errors,
     run_example,
@@ -23,6 +26,8 @@ from augeig.harness import (
 )
 from augeig.linalg import pcg_solve
 from augeig.multilevel import LevelPlan, build_hierarchy, multilevel_solve
+
+from conftest import eigsh_reference
 
 EXACT_LAMBDA1 = np.pi ** 2 / 2
 
@@ -163,6 +168,30 @@ def test_detect_clusters():
     assert detect_clusters(lams) == [[1, 2]]
     assert detect_clusters(lams, explicit=[[0, 1]]) == [[0, 1]]
     assert detect_clusters(np.array([1.0, 2.0, 3.0])) == []
+
+
+@pytest.mark.parametrize("make_example", [example1, example2])
+def test_example_clusters_match_eigsh(make_example):
+    """An example declares a cluster exactly where eigsh sees a multiple
+    eigenvalue split by the mesh: over the first five eigenvalues at 1,156,
+    4,761 and 19,321 dofs, a declared pair's relative gap is below 1e-2 and
+    shrinks about 4x (like h^2) per halving of h; every other adjacent gap
+    stays above 1e-2."""
+    ex = make_example()
+    declared = {(cl[i], cl[i + 1]) for cl in ex.clusters for i in range(len(cl) - 1)}
+    gaps = []
+    for h in (2 / 35, 2 / 70, 2 / 140):
+        space = build_space(mesh.fitted_mesh(ex.domain, ex.circles, h))
+        lams, _ = eigsh_reference(assemble_stiffness(space, ex.coefficient()),
+                                  assemble_mass(space), 5)
+        gaps.append(np.diff(lams) / lams[1:])
+    gaps = np.array(gaps)  # (size, pair i -> i + 1)
+    for i in range(gaps.shape[1]):
+        if (i, i + 1) in declared:
+            assert gaps[0, i] < 1e-2, (i, gaps[:, i])
+            assert (gaps[:-1, i] / gaps[1:, i] > 3).all(), (i, gaps[:, i])
+        else:
+            assert (gaps[:, i] > 1e-2).all(), (i, gaps[:, i])
 
 
 def test_measure_errors_exact_and_sign(square_pair, square_reference):
@@ -327,3 +356,42 @@ def test_step_records_count_pcg_iterations(tmp_path, monkeypatch):
     assert len(steps) == 2 * cfg.plan.L
     assert [r.pcg_iterations for r in steps] == seen
     assert all(its > 0 for call in seen for its in call)
+
+
+def test_preconditioners_built_once_in_build_hierarchy(tmp_path, monkeypatch):
+    """Each level's PCG preconditioner is built exactly once, inside
+    build_hierarchy: the reference oracle, the coarsest solve, the
+    corrections and the timing study's solves build none."""
+    import augeig.harness as harness
+    import augeig.linalg as linalg
+
+    built, phase, hierarchies = [], ["solve"], []
+    init = linalg._SsorPreconditioner.__init__
+
+    def counting_init(self, csr):
+        built.append((phase[0], csr))
+        init(self, csr)
+
+    def phased_build(*args, **kwargs):
+        phase[0] = "build"
+        hierarchies.append(build_hierarchy(*args, **kwargs))
+        phase[0] = "solve"
+        return hierarchies[-1]
+
+    monkeypatch.setattr(linalg._SsorPreconditioner, "__init__", counting_init)
+    monkeypatch.setattr(harness, "build_hierarchy", phased_build)
+    cfg = load_config_text(tmp_path, (
+        "example = unit_square\ncoarse_h = 0.25\nh1 = 0.125\nn_levels = 3\n"
+        f"nev = 2\ntiming = off\nout_dir = {tmp_path}\n"
+    ))
+    run_example(cfg)
+    (hier,) = hierarchies
+    assert [p for p, _ in built] == ["build"] * 3
+    assert all(csr is lev.A_h.csr for (_, csr), lev in zip(built, hier.levels))
+    assert len({id(lev.precond) for lev in hier.levels}) == 3
+    multilevel_solve(hier, cfg.plan, coarse_tol=cfg.coarse_tol)
+    assert len(built) == 3
+
+    timing_study(cfg)
+    assert len(hierarchies) == 2
+    assert [p for p, _ in built] == ["build"] * 6

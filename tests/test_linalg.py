@@ -1,6 +1,7 @@
 """Sparse container, PCG, dense generalized eigensolver, reference solver."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from augeig.linalg import (
     pcg_solve,
     reference_eigensolve,
 )
+
+from conftest import ssor
 
 
 def laplacian_1d(n, h=None):
@@ -74,7 +77,8 @@ def test_sparse_matrix_holds_exactly_nnz():
 def test_eig_bounds_bracket_spectrum():
     # Well-separated spectrum so 20 power steps are enough to be sharp.
     A = SparseMatrix(sp.diags(np.arange(1.0, 11.0)).tocsr())
-    lmin, lmax = A.eig_bounds()
+    M = ssor(A)
+    lmin, lmax = M.lmin, M.lmax
     assert 0 < lmin <= 2.0
     assert 9.0 <= lmax <= 10.001
 
@@ -85,8 +89,8 @@ def _single_rhs_pcg(A, rhs, x0, theta):
     """Oracle: the single-vector SSOR-PCG loop that the block solver
     replaced, step for step, with the same stopping rule and report."""
     x = np.array(x0, dtype=float)
-    M = A.ssor()
-    lmin, lmax = A.eig_bounds()
+    M = ssor(A)
+    lmin, lmax = M.lmin, M.lmax
     lmax_up = lmax * linalg._LMAX_INFLATE
     lmin_dn = lmin * linalg._LMIN_DEFLATE
     r = rhs - A.csr @ x
@@ -121,7 +125,7 @@ def _single_rhs_pcg(A, rhs, x0, theta):
 
 
 def _assert_matches_oracle(A, RHS, X0, theta):
-    X, reports = pcg_solve(A, RHS, X0, theta=theta)
+    X, reports = pcg_solve(A, RHS, X0, theta, ssor(A))
     assert X.shape == RHS.shape and len(reports) == RHS.shape[1]
     for j in range(RHS.shape[1]):
         x, report = _single_rhs_pcg(A, RHS[:, j], X0[:, j], theta)
@@ -160,7 +164,7 @@ def test_pcg_matches_dense_solve():
     for n in (5, 20, 50):
         A = SparseMatrix(sp.csr_matrix(random_spd(n, rng)))
         b = rng.standard_normal(n)
-        X, (report,) = pcg_solve(A, b[:, None], theta=1e-12)
+        X, (report,) = pcg_solve(A, b[:, None], None, 1e-12, ssor(A))
         assert not report.breakdown
         assert np.linalg.norm(X[:, 0] - np.linalg.solve(A.csr.toarray(), b)) < 1e-9
 
@@ -171,7 +175,7 @@ def test_pcg_contraction_guarantee():
     b = rng.standard_normal(120)
     for theta in (0.5, 0.1, 0.01):
         x_true = np.linalg.solve(A.csr.toarray(), b)
-        X, (report,) = pcg_solve(A, b[:, None], theta=theta)
+        X, (report,) = pcg_solve(A, b[:, None], None, theta, ssor(A))
         assert not report.breakdown
         assert report.achieved_contraction <= theta
         # True A-norm contraction is bounded by the reported conservative one.
@@ -185,37 +189,54 @@ def test_pcg_warm_start_exact():
     A = laplacian_1d(30)
     x_true = np.linspace(0, 1, 30)
     b = A.csr @ x_true
-    X, (report,) = pcg_solve(A, b[:, None], x_true[:, None], theta=0.1)
+    X, (report,) = pcg_solve(A, b[:, None], x_true[:, None], 0.1, ssor(A))
     assert report.iterations == 0
     assert np.array_equal(X[:, 0], x_true)
 
 
 def test_pcg_rejects_bad_theta():
     A = laplacian_1d(5)
+    M = ssor(A)
     with pytest.raises(LinalgError):
-        pcg_solve(A, np.ones((5, 1)), theta=0.0)
+        pcg_solve(A, np.ones((5, 1)), None, 0.0, M)
     with pytest.raises(LinalgError):
-        pcg_solve(A, np.ones((5, 1)), theta=1.5)
+        pcg_solve(A, np.ones((5, 1)), None, 1.5, M)
 
 
 def test_pcg_rejects_dimension_mismatch():
+    A = laplacian_1d(5)
+    M = ssor(A)
     with pytest.raises(LinalgError):
-        pcg_solve(laplacian_1d(5), np.ones((4, 1)), theta=0.5)
+        pcg_solve(A, np.ones((4, 1)), None, 0.5, M)
     with pytest.raises(LinalgError):
-        pcg_solve(laplacian_1d(5), np.ones(5), theta=0.5)  # a vector, not a block
+        pcg_solve(A, np.ones(5), None, 0.5, M)  # a vector, not a block
     with pytest.raises(LinalgError):
-        pcg_solve(laplacian_1d(5), np.ones((5, 2)), np.ones((5, 1)), theta=0.5)
+        pcg_solve(A, np.ones((5, 2)), np.ones((5, 1)), 0.5, M)
 
 
 def test_pcg_detects_indefinite():
     # A nonpositive diagonal stops the SSOR set-up before CG runs.
-    A = SparseMatrix(sp.diags([1.0, -1.0]).tocsr())
     with pytest.raises(LinalgError, match="not SPD"):
-        pcg_solve(A, np.ones((2, 1)), theta=0.5)
+        ssor(SparseMatrix(sp.diags([1.0, -1.0]).tocsr()))
     # A positive diagonal with eigenvalues 3 and -1 reaches CG's curvature guard.
     A = SparseMatrix(sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
     with pytest.raises(LinalgError, match=r"p\^T A p <= 0"):
-        pcg_solve(A, np.ones((2, 1)), theta=0.5)
+        pcg_solve(A, np.ones((2, 1)), None, 0.5, ssor(A))
+
+
+def test_pcg_detects_indefinite_preconditioner():
+    # An SPD matrix with a negative definite preconditioner (-M for its
+    # SSOR M, with A's bounds): r^T z < 0 on the first iteration of every
+    # active column, caught before any step is taken.
+    A = laplacian_1d(30)
+    M = ssor(A)
+    negated = SimpleNamespace(lmin=M.lmin, lmax=M.lmax, apply=lambda R: -M.apply(R))
+    RHS = np.column_stack([np.zeros(30), np.ones(30)])
+    with pytest.raises(LinalgError, match=r"preconditioner .*r\^T z <= 0"):
+        pcg_solve(A, RHS, None, 0.1, negated)
+    # The same solve with the SSOR preconditioner itself converges.
+    _, reports = pcg_solve(A, RHS, None, 0.1, M)
+    assert not any(r.breakdown for r in reports)
 
 
 def _plain_cg_iterations(A, b, target):
@@ -238,14 +259,14 @@ def _plain_cg_iterations(A, b, target):
 
 
 def test_ssor_accelerates():
-    # pcg_solve always applies SSOR; plain CG must take more iterations to
+    # With the SSOR preconditioner, plain CG must take more iterations to
     # reach the residual that SSOR-preconditioned CG reached.
     A = laplacian_1d(200)
     b = np.ones(200)
-    X, (ssor,) = pcg_solve(A, b[:, None], theta=1e-8)
-    assert not ssor.breakdown
+    X, (report,) = pcg_solve(A, b[:, None], None, 1e-8, ssor(A))
+    assert not report.breakdown
     plain = _plain_cg_iterations(A, b, np.linalg.norm(b - A.csr @ X[:, 0]))
-    assert ssor.iterations < plain
+    assert report.iterations < plain
 
 
 # -- dense generalized eigensolver -----------------------------------------
@@ -316,7 +337,7 @@ def test_reference_known_eigenvalues():
     n = 80
     A = laplacian_1d(n)
     B = SparseMatrix(sp.identity(n, format="csr"))
-    lams, vecs = reference_eigensolve(A, B, 3, 1e-11)
+    lams, vecs = reference_eigensolve(A, B, 3, 1e-11, ssor(A))
     exact = 2 - 2 * np.cos(np.arange(1, 4) * np.pi / (n + 1))
     assert np.abs(lams - exact).max() < 1e-9
     for i in range(3):
@@ -330,8 +351,8 @@ def test_reference_seed_invariance():
     n = 60
     A = laplacian_1d(n)
     B = SparseMatrix(sp.identity(n, format="csr"))
-    l0, v0 = reference_eigensolve(A, B, 2, 1e-11, seed=0)
-    l1, v1 = reference_eigensolve(A, B, 2, 1e-11, seed=123)
+    l0, v0 = reference_eigensolve(A, B, 2, 1e-11, ssor(A), seed=0)
+    l1, v1 = reference_eigensolve(A, B, 2, 1e-11, ssor(A), seed=123)
     assert np.abs(l0 - l1).max() < 1e-9
     assert np.abs(v0 - v1).max() < 1e-5  # sign fixed by the normalization
 
@@ -341,8 +362,9 @@ def test_reference_scaling():
     A = laplacian_1d(n)
     B = SparseMatrix(sp.identity(n, format="csr"))
     c = 3.7
-    l1, _ = reference_eigensolve(A, B, 2, 1e-12)
-    l2, _ = reference_eigensolve(SparseMatrix(A.csr * c), B, 2, 1e-12)
+    cA = SparseMatrix(A.csr * c)
+    l1, _ = reference_eigensolve(A, B, 2, 1e-12, ssor(A))
+    l2, _ = reference_eigensolve(cA, B, 2, 1e-12, ssor(cA))
     assert np.abs(l2 - c * l1).max() < 1e-9 * c
 
 
@@ -350,7 +372,7 @@ def test_reference_nev_guard():
     A = laplacian_1d(10)
     B = SparseMatrix(sp.identity(10, format="csr"))
     with pytest.raises(ConfigError):
-        reference_eigensolve(A, B, 5, 1e-8)
+        reference_eigensolve(A, B, 5, 1e-8, ssor(A))
 
 
 
@@ -370,7 +392,7 @@ def test_reference_inner_breakdown_raises(monkeypatch):
 
     monkeypatch.setattr(linalg, "pcg_solve", pcg_breaking)
     with pytest.raises(ConvergenceError, match="inner solve for column 6") as exc:
-        reference_eigensolve(A, B, 2, 1e-11)
+        reference_eigensolve(A, B, 2, 1e-11, ssor(A))
     lams, vecs = exc.value.payload
     assert calls == [7]  # one block solve over all nev + 5 columns
     assert lams.shape == (2,) and vecs.shape == (n, 2)
