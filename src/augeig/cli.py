@@ -3,7 +3,7 @@
 Subcommands: generate (emit mesh files), solve (convergence run),
 bench (timing study), compare (exact vs galerkin cross-assembly report).
 Exit codes: 0 success, 1 convergence failure, 2 usage or config error,
-3 numerical breakdown.
+3 numerical error.
 """
 
 import argparse

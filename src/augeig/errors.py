@@ -10,18 +10,11 @@ class GeometryError(AugeigError):
 
 
 class LinalgError(AugeigError):
-    """Numerical breakdown in a linear-algebra kernel."""
+    """Numerical failure in a linear-algebra kernel."""
 
 
 class ConvergenceError(AugeigError):
-    """An iterative solver did not reach its tolerance.
-
-    Carries the best iterates produced so far in ``payload``.
-    """
-
-    def __init__(self, message, payload=None):
-        self.payload = payload
-        super().__init__(message)
+    """An iterative solver did not reach its tolerance."""
 
 
 class ConfigError(AugeigError):

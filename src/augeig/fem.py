@@ -105,18 +105,6 @@ def _p1_gradients(mesh):
     return grads, areas
 
 
-def local_stiffness(tri_coords, k=1.0):
-    """3x3 element stiffness for one triangle given as (3, 2) coordinates."""
-    a, b, c = tri_coords
-    det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    g = np.array([
-        [b[1] - c[1], c[0] - b[0]],
-        [c[1] - a[1], a[0] - c[0]],
-        [a[1] - b[1], b[0] - a[0]],
-    ]) / det
-    return 0.5 * det * k * (g @ g.T)
-
-
 def _scatter(mesh, local, dof_map, n):
     """Accumulate (m, 3, 3) element matrices into a CSR on the given dofs."""
     tri_dofs = dof_map[mesh.triangles]  # (m, 3), -1 for eliminated rows
@@ -170,12 +158,13 @@ def build_transfer(coarse: FeSpace, fine: FeSpace) -> sp.csr_matrix:
     Entry (f, c) is the value of the c-th coarse basis function at the
     f-th fine node: each fine free node is located in the coarse mesh and
     its row holds the barycentric weights of the coarse free vertices
-    there (at most 3 nonzeros). Clamped (snapped-to-nearest) locations
-    are permitted.
+    there (at most 3 nonzeros). Fine nodes outside the coarse mesh take
+    their clamped location.
     """
-    located = [locate_point(coarse.mesh, p) for p in fine.mesh.nodes[fine.free_nodes]]
-    tri = np.array([res.triangle_index for res in located], dtype=np.int64)
-    bary = np.array([res.barycentric for res in located])
+    points = fine.mesh.nodes[fine.free_nodes]
+    tri, bary = np.empty(len(points), dtype=np.int64), np.empty((len(points), 3))
+    for i, p in enumerate(points):
+        tri[i], bary[i] = locate_point(coarse.mesh, p)
     return _basis_at(coarse, tri, bary)
 
 
@@ -237,7 +226,7 @@ class CrossAssembler:
         a, b, c = fmesh.triangle_corners()
         mids = np.stack([(a + b) / 2, (b + c) / 2, (c + a) / 2], axis=1).reshape(-1, 2)
         anchors = np.repeat(fmesh.centroids(), 3, axis=0)
-        tri, _, _ = locate_many(cmesh, mids + 1e-6 * (anchors - mids))
+        tri, _ = locate_many(cmesh, mids + 1e-6 * (anchors - mids))
         cgrads, _ = _p1_gradients(cmesh)
         cgrads = cgrads[tri]
 

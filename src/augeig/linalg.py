@@ -29,6 +29,11 @@ _REF_MAX_SWEEPS = 500
 _REF_INNER_THETA = 0.05
 
 
+def _iteration_cap(n):
+    """PCG iterations after which a column short of its target raises."""
+    return max(1000, 10 * n)
+
+
 class SparseMatrix:
     """Square symmetric sparse matrix in compressed-row form; no solver state."""
 
@@ -59,7 +64,6 @@ class SparseMatrix:
 class SolveReport:
     iterations: int
     achieved_contraction: float
-    breakdown: bool = False
 
 
 class _SsorPreconditioner:
@@ -118,14 +122,17 @@ def pcg_solve(A: SparseMatrix, RHS, X0, theta, M):
     sides from X0 (None: zero), until each column's A-norm error contraction
     is <= theta. M is built for A: M.apply(R) is M^-1 R for a block, and
     M.lmin, M.lmax bound A's spectrum. Returns (X, reports): the (n, k)
-    solutions, Fortran-ordered, and one SolveReport per column.
+    solutions, C-ordered, and one SolveReport per column. A column still
+    short of its target at the iteration cap raises ConvergenceError,
+    once the other columns are done.
 
     The columns are uncoupled: each keeps its own Krylov space, step
     lengths and stopping test, and a column that has converged is frozen.
     Per iteration the active columns share one SpMM and one block M apply.
     Every dot product and norm runs on a contiguous column, so each
-    column's iterates are bit-identical to a single-vector CG. A
-    nonpositive r^T z (M not SPD) or p^T A p (A not SPD) raises LinalgError.
+    column's iterates are bit-identical to a single-vector CG (the block
+    is Fortran-ordered inside). A nonpositive r^T z (M not SPD) or
+    p^T A p (A not SPD) raises LinalgError.
 
     The contraction is enforced through the residual bound
     ||e_k||_A <= ||r_k|| / sqrt(lambda_min) against the lower bound
@@ -140,7 +147,7 @@ def pcg_solve(A: SparseMatrix, RHS, X0, theta, M):
     X = np.zeros(RHS.shape, order="F") if X0 is None else np.array(X0, dtype=float, order="F")
     if X.shape != RHS.shape:
         raise LinalgError("start block and right-hand sides differ in shape")
-    iteration_cap = max(1000, 10 * A.n)
+    iteration_cap = _iteration_cap(A.n)
     lmax_up = M.lmax * _LMAX_INFLATE
     lmin_dn = M.lmin * _LMIN_DEFLATE
 
@@ -151,13 +158,6 @@ def pcg_solve(A: SparseMatrix, RHS, X0, theta, M):
     target = theta * r0_norm * np.sqrt(lmin_dn / lmax_up)
     reports = [SolveReport(0, 0.0) for _ in range(RHS.shape[1])]
     act = np.flatnonzero(r0_norm != 0.0)  # a zero residual is solved at once
-
-    def freeze(cols, Xc, rk_norm, k):
-        # Store finished columns cols of X, with their reports.
-        X[:, cols] = Xc
-        for j, rn in zip(cols, rk_norm):
-            reports[j] = SolveReport(k, rn / np.sqrt(lmin_dn) / init_err[j], rn > target[j])
-
     Xa, Ra = X[:, act], R[:, act]
     k = 0
     while act.size and k < iteration_cap:
@@ -178,10 +178,14 @@ def pcg_solve(A: SparseMatrix, RHS, X0, theta, M):
         rk_norm = _col_norms(Ra)
         done = rk_norm <= target[act]
         if done.any():
-            freeze(act[done], Xa[:, done], rk_norm[done], k)
+            X[:, act[done]] = Xa[:, done]
+            for j, rn in zip(act[done], rk_norm[done]):
+                reports[j] = SolveReport(k, rn / np.sqrt(lmin_dn) / init_err[j])
             act, Xa, Ra, P, rz = act[~done], Xa[:, ~done], Ra[:, ~done], P[:, ~done], rz[~done]
-    freeze(act, Xa, _col_norms(Ra), k)  # columns stopped by the cap
-    return X, reports
+    if act.size:
+        raise ConvergenceError(f"PCG column {act[0]} stopped at its cap of {k} iterations "
+                               f"short of theta={theta:g}")
+    return np.ascontiguousarray(X), reports
 
 
 def _col_dots(U, V):
@@ -228,9 +232,7 @@ def reference_eigensolve(A: SparseMatrix, B: SparseMatrix, nev, tol, M, seed=0):
     ||A u - lambda B u|| / ||B u|| drops below tol (both relative to
     max(1, lambda)). Eigenvectors are a-normalized with the
     largest-magnitude component positive. A nev above n/4 is a
-    ConfigError: the pair count comes from the run configuration. An
-    inner solve that stops short of its contraction raises
-    ConvergenceError with the current pairs as payload.
+    ConfigError: the pair count comes from the run configuration.
     """
     n = A.n
     if nev > n // 4:
@@ -272,17 +274,8 @@ def reference_eigensolve(A: SparseMatrix, B: SparseMatrix, nev, tol, M, seed=0):
         # one block solve over the columns not yet effectively converged.
         Y = X / np.where(lam > 0, lam, 1.0)
         solve = [i for i in range(p) if not (i < nev and res_rel[i] < tol / 10)]
-        Y[:, solve], reports = pcg_solve(A, BX[:, solve], Y[:, solve], _REF_INNER_THETA, M)
-        broken = [i for i, r in zip(solve, reports) if r.breakdown]
-        if broken:
-            raise ConvergenceError(
-                f"reference eigensolver: inner solve for column {broken[0]} stopped short "
-                f"of theta={_REF_INNER_THETA:g} in sweep {sweep}",
-                payload=(np.array(lam[:nev]), X[:, :nev]))
+        Y[:, solve], _ = pcg_solve(A, BX[:, solve], Y[:, solve], _REF_INNER_THETA, M)
         X = Y
 
-    raise ConvergenceError(
-        f"reference eigensolver did not converge in {_REF_MAX_SWEEPS} sweeps",
-        payload=(np.array(lam[:nev]), X[:, :nev]),
-    )
+    raise ConvergenceError(f"reference eigensolver did not converge in {_REF_MAX_SWEEPS} sweeps")
 

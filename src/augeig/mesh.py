@@ -112,13 +112,6 @@ class Mesh:
         return (a + b + c) / 3.0
 
 
-@dataclass(frozen=True)
-class LocateResult:
-    triangle_index: int
-    barycentric: np.ndarray  # 3 nonnegative reals summing to 1
-    status: str              # "inside" | "snapped-to-nearest"
-
-
 def _compute_h_max(nodes, triangles):
     b = nodes[triangles[:, 1]] - nodes[triangles[:, 0]]
     c = nodes[triangles[:, 2]] - nodes[triangles[:, 1]]
@@ -365,8 +358,8 @@ class _Locator:
         lam = self._bary(p, idx)
         inside = np.flatnonzero(lam.min(axis=1) >= -_BARY_TOL)
         if len(inside):
-            return LocateResult(int(idx[inside[0]]), lam[inside[0]], "inside")
-        return LocateResult(*self._clamp(p), "snapped-to-nearest")
+            return int(idx[inside[0]]), lam[inside[0]]
+        return self._clamp(p)
 
     def _clamp(self, p):
         """(triangle, barycentric) with the smallest barycentric violation,
@@ -380,7 +373,6 @@ class _Locator:
         n = len(points)
         tri = np.empty(n, dtype=np.int64)
         bary = np.empty((n, 3))
-        inside = np.ones(n, dtype=bool)
         for s in range(0, n, _LOCATE_CHUNK):
             p = points[s:s + _LOCATE_CHUNK]
             cand = self.table[self._cells(p)]            # (c, K), -1 padded
@@ -392,8 +384,7 @@ class _Locator:
             bary[s:s + len(p)] = lam[rows, pick]
             for i in np.flatnonzero(~ok[rows, pick]):
                 tri[s + i], bary[s + i] = self._clamp(p[i])
-                inside[s + i] = False
-        return tri, bary, inside
+        return tri, bary
 
 
 # Points per batch in locate_many; bounds its (chunk, K, 3) temporaries.
@@ -408,13 +399,15 @@ def _locator(mesh):
     return mesh._locator
 
 
-def locate_point(mesh: Mesh, p) -> LocateResult:
-    """Find the triangle containing p, or the nearest one if p is outside.
+def locate_point(mesh: Mesh, p):
+    """(triangle, barycentric (3,)) of the triangle containing p, or of the
+    nearest one if p is outside.
 
     Of several triangles containing p (on shared edges and vertices) the
     smallest index wins. Total function: outside points are clamped to
     the triangle with the smallest barycentric violation, ties broken by
-    smallest triangle index.
+    smallest triangle index, the coordinates clipped to >= 0 and
+    renormalised.
     """
     return _locator(mesh).locate(p)
 
@@ -422,9 +415,8 @@ def locate_point(mesh: Mesh, p) -> LocateResult:
 def locate_many(mesh: Mesh, points):
     """``locate_point`` for an (n, 2) array of points, batched.
 
-    Returns (triangle_index (n,), barycentric (n, 3), inside (n,) bool),
-    point by point equal to ``locate_point``; ``inside`` is False where
-    its status is "snapped-to-nearest".
+    Returns (triangle (n,), barycentric (n, 3)), point by point equal to
+    ``locate_point``.
     """
     return _locator(mesh).locate_many(np.asarray(points, dtype=float).reshape(-1, 2))
 

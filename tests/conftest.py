@@ -34,6 +34,19 @@ def eigsh_reference(A, B, nev):
     return lams[order], np.column_stack([a_normalize(A, vecs[:, j]) for j in order])
 
 
+def local_stiffness(tri_coords, k=1.0):
+    """3x3 element stiffness for one triangle given as (3, 2) coordinates:
+    an oracle for the vectorised assembly."""
+    a, b, c = tri_coords
+    det = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    g = np.array([
+        [b[1] - c[1], c[0] - b[0]],
+        [c[1] - a[1], a[0] - c[0]],
+        [a[1] - b[1], b[0] - a[0]],
+    ]) / det
+    return 0.5 * det * k * (g @ g.T)
+
+
 def ssor(A):
     """The SSOR preconditioner of A, as build_hierarchy makes one per level."""
     return _SsorPreconditioner(A.csr)

@@ -1,12 +1,11 @@
 """One augmented subspace iteration: correction, selection, reassembly."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import augeig.augsub as augsub
+import augeig.linalg as linalg
 from augeig.augsub import (
     EigenState,
     aug_subspace_step,
@@ -82,12 +81,10 @@ def test_step_does_not_mutate_inputs(square_pair, square_initial_state):
 
 def test_correction_solve_orthonormalizes(square_pair, square_initial_state):
     A_h = square_pair["A_h"]
-    U, reports = correction_solve(A_h, square_pair["B_h"], square_initial_state,
-                                  theta=0.1, M=square_pair["level"].precond)
+    U, _ = correction_solve(A_h, square_pair["B_h"], square_initial_state,
+                            theta=0.1, M=square_pair["level"].precond)
     G = U.T @ (A_h.csr @ U)
     assert np.allclose(G, np.eye(3), atol=1e-10)
-    for r in reports:
-        assert not r.breakdown
 
 
 def test_correction_degenerate_guard(square_pair, square_initial_state):
@@ -102,24 +99,21 @@ def test_correction_degenerate_guard(square_pair, square_initial_state):
 
 
 def test_correction_breakdown_raises(square_pair, square_initial_state, monkeypatch):
-    # A PCG breakdown on the second slot stops the step, with that slot's
-    # iterate and report as payload. The m slots are one block solve.
+    # A slot that cannot reach its contraction within the PCG iteration
+    # cap stops the step with ConvergenceError; the m slots go to PCG as
+    # one block solve.
     calls = []
 
-    def pcg_breaking_on_second(*args, **kwargs):
-        X, reports = pcg_solve(*args, **kwargs)
-        calls.append(X)
-        reports[1] = dataclasses.replace(reports[1], breakdown=True)
-        return X, reports
+    def pcg_recording(A, RHS, X0, theta, M):
+        calls.append(RHS.shape)
+        return pcg_solve(A, RHS, X0, theta, M)
 
-    monkeypatch.setattr(augsub, "pcg_solve", pcg_breaking_on_second)
-    with pytest.raises(ConvergenceError, match="slot 1") as exc:
+    monkeypatch.setattr(linalg, "_iteration_cap", lambda n: 1)
+    monkeypatch.setattr(augsub, "pcg_solve", pcg_recording)
+    with pytest.raises(ConvergenceError, match=r"PCG column \d+ stopped at its cap of 1 "):
         correction_solve(square_pair["A_h"], square_pair["B_h"], square_initial_state,
                          theta=0.1, M=square_pair["level"].precond)
-    x, report = exc.value.payload
-    assert len(calls) == 1 and calls[0].shape[1] == square_initial_state.m
-    assert np.array_equal(x, calls[0][:, 1])
-    assert report.breakdown and report.iterations > 0
+    assert calls == [(square_pair["A_h"].n, square_initial_state.m)]
 
 
 def _decoupled_system():

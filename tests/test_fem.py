@@ -16,12 +16,11 @@ from augeig.fem import (
     assemble_stiffness,
     build_space,
     build_transfer,
-    local_stiffness,
 )
 from augeig.linalg import SparseMatrix
 from augeig.mesh import Rect, generate_structured_mesh, locate_point
 
-from conftest import fitted_mesh, full_scan_locate
+from conftest import fitted_mesh, full_scan_locate, local_stiffness
 
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -317,7 +316,7 @@ def _exact_oracle(coarse, fine, coeff, U):
         centroid = x.mean(axis=0)
         for i, j in ((0, 1), (1, 2), (2, 0)):
             p = 0.5 * (x[i] + x[j])
-            verts = cmesh.triangles[locate_point(cmesh, p + 1e-6 * (centroid - p)).triangle_index]
+            verts = cmesh.triangles[locate_point(cmesh, p + 1e-6 * (centroid - p))[0]]
             inv = np.linalg.inv(np.column_stack([np.ones(3), cmesh.nodes[verts]])).T
             values = inv @ np.array([1.0, p[0], p[1]])
             grads = inv[:, 1:]

@@ -171,12 +171,9 @@ def test_nonnested_levels(ex1):
 
 def test_classify_tags(ex1):
     mesh = fitted_mesh(ex1, 2 / 17)
-    res = locate_point(mesh, (2 / 3, 1.0))
-    assert mesh.region_tag[res.triangle_index] == 1
-    res = locate_point(mesh, (0.1, 0.1))
-    assert mesh.region_tag[res.triangle_index] == 0
-    res = locate_point(mesh, (4 / 3, 1.0))
-    assert mesh.region_tag[res.triangle_index] == 2
+    for p, tag in (((2 / 3, 1.0), 1), ((0.1, 0.1), 0), ((4 / 3, 1.0), 2)):
+        tri, _ = locate_point(mesh, p)
+        assert mesh.region_tag[tri] == tag
 
 
 def test_tagged_area(ex1):
@@ -202,22 +199,25 @@ def test_tagged_area_superlinear_decay(ex1):
 def test_locate_vertex_and_centroid():
     mesh = generate_structured_mesh(Rect(0, 0, 2, 2), 0.5)
     tri = mesh.triangles[5]
-    res = locate_point(mesh, mesh.nodes[tri[0]])
-    assert res.status == "inside"
-    assert abs(res.barycentric.sum() - 1.0) < 1e-14
+    t, lam = locate_point(mesh, mesh.nodes[tri[0]])
+    # The vertex lies in the triangle found: its coordinates pass the
+    # inside test, and one of them is the vertex's.
+    assert tri[0] in mesh.triangles[t]
+    assert lam.min() >= -1e-12 and np.isclose(lam.max(), 1.0, rtol=0, atol=1e-14)
+    assert abs(lam.sum() - 1.0) < 1e-14
     cen = mesh.nodes[tri].mean(axis=0)
-    res = locate_point(mesh, cen)
-    assert res.status == "inside"
-    assert np.allclose(res.barycentric, 1 / 3, atol=1e-12)
-    assert res.triangle_index == 5
+    t, lam = locate_point(mesh, cen)
+    assert np.allclose(lam, 1 / 3, atol=1e-12)
+    assert t == 5
 
 
 def test_locate_outside_clamps():
     mesh = generate_structured_mesh(Rect(0, 0, 2, 2), 0.5)
-    res = locate_point(mesh, (-1.0, -1.0))
-    assert res.status == "snapped-to-nearest"
-    lam = res.barycentric
-    assert lam.min() >= 0 and abs(lam.sum() - 1.0) < 1e-12
+    # Triangles 0 and 1 both read a violation of -2 at (-1, -1); the first
+    # wins, and its clipped coordinates put the point on the corner (0, 0).
+    t, lam = locate_point(mesh, (-1.0, -1.0))
+    assert t == 0 and np.array_equal(lam, [1.0, 0.0, 0.0])
+    assert np.array_equal(lam @ mesh.nodes[mesh.triangles[t]], [0.0, 0.0])
 
 
 def test_locate_reconstruction_small():
@@ -237,9 +237,8 @@ def _check_reconstruction(mesh):
     hi = mesh.nodes.max(axis=0)
     pts = lo + rng.random((1000, 2)) * (hi - lo)
     for p in pts:
-        res = locate_point(mesh, p)
-        verts = mesh.nodes[mesh.triangles[res.triangle_index]]
-        rec = res.barycentric @ verts
+        tri, lam = locate_point(mesh, p)
+        rec = lam @ mesh.nodes[mesh.triangles[tri]]
         assert np.linalg.norm(rec - p) < 1e-12
 
 
@@ -293,21 +292,20 @@ def test_locate_matches_full_scan_oracle(ex1, h, finer_h, fitted):
     pts = _location_probes(mesh, finer, np.random.default_rng(11))
     want_tri, want_bary, want_inside = full_scan_locate(mesh, pts)
     assert (~want_inside).sum() >= 100  # the outside points are clamped
-    tri, bary, inside = locate_many(mesh, pts)
+    tri, bary = locate_many(mesh, pts)
     assert np.array_equal(tri, want_tri)
     assert np.array_equal(bary, want_bary)
-    assert np.array_equal(inside, want_inside)
 
 
 @pytest.mark.parametrize("h, finer_h, fitted", _LOCATION_MESHES)
 def test_locate_many_matches_locate_point(ex1, h, finer_h, fitted):
     mesh, finer = _location_pair(ex1, h, finer_h, fitted)
     pts = _location_probes(mesh, finer, np.random.default_rng(11))
-    tri, bary, inside = locate_many(mesh, pts)
-    assert (~inside).sum() >= 100  # the outside points were clamped
-    for p, t, lam, ins in zip(pts, tri, bary, inside):
-        res = locate_point(mesh, p)
-        assert res.triangle_index == t
-        assert np.array_equal(res.barycentric, lam)
-        assert (res.status == "inside") == ins
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    assert ((pts < lo) | (pts > hi)).any(axis=1).sum() >= 100  # clamped points
+    tri, bary = locate_many(mesh, pts)
+    for p, t, lam in zip(pts, tri, bary):
+        got_t, got_lam = locate_point(mesh, p)
+        assert got_t == t
+        assert np.array_equal(got_lam, lam)
 
