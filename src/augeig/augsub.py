@@ -12,9 +12,8 @@ import numpy as np
 from scipy.sparse.linalg import eigsh
 
 from .errors import LinalgError
-from .fem import a_norm
 # dense_sym_gen_eig is not called here; perfbench/spans.py hooks it by this name.
-from .linalg import SparseMatrix, a_normalize, dense_sym_gen_eig, pcg_solve  # noqa: F401
+from .linalg import SparseMatrix, a_norm, a_normalize, dense_sym_gen_eig, pcg_solve  # noqa: F401
 
 
 @dataclass

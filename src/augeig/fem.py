@@ -13,7 +13,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import LinalgError
 from .linalg import SparseMatrix
-from .mesh import Mesh, barycentric, locate_many, locate_point
+from .mesh import Locator, Mesh, barycentric, locate_many, locate_point
 
 # A step is rejected when lambda_min(beta - b_h^T B_H^-1 b_h) <= _SCHUR_TOL
 # * max diag(beta): healthy steps read 7e-7 or more, repeated columns 0.
@@ -134,14 +134,6 @@ def assemble_mass(space: FeSpace) -> SparseMatrix:
     return _scatter(mesh, local, space.node_to_dof, space.n_dof)
 
 
-def a_norm(A: SparseMatrix, v):
-    """Energy norm sqrt(v^T A v); rejects radicands below -1e-14."""
-    q = float(v @ (A.csr @ v))
-    if q < -1e-14:
-        raise LinalgError(f"negative radicand {q:g}: matrix is not SPD")
-    return np.sqrt(max(q, 0.0))
-
-
 def _basis_at(space: FeSpace, tri, values) -> sp.csr_matrix:
     """Sparse (n, N) matrix whose row i holds values[i] (n, 3) at the free
     dofs of triangle tri[i]'s vertices; zero values are dropped."""
@@ -158,13 +150,14 @@ def build_transfer(coarse: FeSpace, fine: FeSpace) -> sp.csr_matrix:
     Entry (f, c) is the value of the c-th coarse basis function at the
     f-th fine node: each fine free node is located in the coarse mesh and
     its row holds the barycentric weights of the coarse free vertices
-    there (at most 3 nonzeros). Fine nodes outside the coarse mesh take
-    their clamped location.
+    there (at most 3 nonzeros). A fine node outside the coarse mesh
+    raises GeometryError.
     """
+    locator = Locator(coarse.mesh)
     points = fine.mesh.nodes[fine.free_nodes]
     tri, bary = np.empty(len(points), dtype=np.int64), np.empty((len(points), 3))
     for i, p in enumerate(points):
-        tri[i], bary[i] = locate_point(coarse.mesh, p)
+        tri[i], bary[i] = locate_point(locator, p)
     return _basis_at(coarse, tri, bary)
 
 
@@ -226,11 +219,12 @@ class CrossAssembler:
         a, b, c = fmesh.triangle_corners()
         mids = np.stack([(a + b) / 2, (b + c) / 2, (c + a) / 2], axis=1).reshape(-1, 2)
         anchors = np.repeat(fmesh.centroids(), 3, axis=0)
-        tri, _ = locate_many(cmesh, mids + 1e-6 * (anchors - mids))
+        locator = Locator(cmesh)
+        tri, _ = locate_many(locator, mids + 1e-6 * (anchors - mids))
         cgrads, _ = _p1_gradients(cmesh)
         cgrads = cgrads[tri]
 
-        Phi = _basis_at(self.coarse, tri, barycentric(cmesh, tri, mids))
+        Phi = _basis_at(self.coarse, tri, barycentric(locator, tri, mids))
         Gx = _basis_at(self.coarse, tri, cgrads[..., 0])
         Gy = _basis_at(self.coarse, tri, cgrads[..., 1])
 
@@ -255,13 +249,11 @@ class CrossAssembler:
 
     # -- shared ----------------------------------------------------------
 
-    def assemble(self, u_tilde) -> BorderedSystem:
-        """Build the bordered system for the given fine block u_tilde."""
-        U = np.atleast_2d(np.asarray(u_tilde, dtype=float))
-        if U.shape[0] != self.fine.n_dof:
-            U = U.T
-        if U.shape[0] != self.fine.n_dof:
-            raise LinalgError("u_tilde dimension does not match the fine space")
+    def assemble(self, U) -> BorderedSystem:
+        """Build the bordered system for the fine block U, (n_dof, m)."""
+        if np.ndim(U) != 2 or U.shape[0] != self.fine.n_dof:
+            raise LinalgError(f"border block of shape {np.shape(U)} is not "
+                              f"({self.fine.n_dof}, m)")
 
         AU = self.A_h.csr @ U
         BU = self.B_h.csr @ U

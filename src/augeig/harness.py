@@ -9,8 +9,8 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, LinalgError
-from .fem import Coefficient, a_norm
-from .linalg import reference_eigensolve
+from .fem import Coefficient
+from .linalg import a_norm, reference_eigensolve
 from .mesh import Circle, Rect
 from .multilevel import Hierarchy, LevelPlan, build_hierarchy, multilevel_solve
 

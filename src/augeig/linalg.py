@@ -211,9 +211,17 @@ def dense_sym_gen_eig(A, B):
         raise LinalgError(f"mass block not SPD: {exc}") from None
 
 
+def a_norm(A: SparseMatrix, v):
+    """Energy norm sqrt(v^T A v); rejects radicands below -1e-14."""
+    q = float(v @ (A.csr @ v))
+    if q < -1e-14:
+        raise LinalgError(f"negative radicand {q:g}: matrix is not SPD")
+    return np.sqrt(max(q, 0.0))
+
+
 def a_normalize(A: SparseMatrix, v):
     """Scale v to v^T A v = 1 with the largest-magnitude entry positive."""
-    nrm = np.sqrt(v @ (A.csr @ v))
+    nrm = a_norm(A, v)
     if nrm == 0:
         raise LinalgError("cannot a-normalize the zero vector")
     v = v / nrm

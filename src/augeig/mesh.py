@@ -5,7 +5,7 @@ circular material interfaces, region classification, point location and a
 writer for a line-oriented mesh file format.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,12 +75,11 @@ class Circle:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mesh:
     """Triangulation with region tags and boundary node flags.
 
-    Treated as immutable after construction; operations that modify a mesh
-    return a new instance.
+    Frozen: operations that modify a mesh return a new instance.
     """
 
     nodes: np.ndarray        # (n, 2) float64
@@ -88,7 +87,6 @@ class Mesh:
     region_tag: np.ndarray   # (m,) int
     boundary_node: np.ndarray   # (n,) bool
     h_max: float
-    _locator: "object" = field(default=None, repr=False, compare=False)
 
     @property
     def n_nodes(self):
@@ -286,33 +284,33 @@ def classify_regions(mesh: Mesh, circles) -> Mesh:
     for k, circle in enumerate(circles):
         inside = circle.contains(centroids) & (tags == BACKGROUND_TAG)
         tags[inside] = k + 1
-    return replace(mesh, region_tag=tags, _locator=None)
+    return replace(mesh, region_tag=tags)
 
 
-class _Locator:
-    """Point location with exact barycentric coordinates.
+class Locator:
+    """Point location in one mesh, with exact barycentric coordinates.
 
     A uniform background grid lists, for each cell, every triangle whose
     bounding box (widened by far more than the inside tolerance) meets
     the cell, in ascending triangle index, as one padded (cells, K)
     table. Every triangle that holds a point is then a candidate of the
     point's cell, so the first inside candidate is the first inside
-    triangle of a full scan. Points that no triangle holds are clamped
-    by a full scan.
+    triangle of a full scan, and a point that no candidate holds lies in
+    no triangle. A caller builds one for its queries and drops it;
+    nothing caches it.
     """
 
     def __init__(self, mesh):
-        self.mesh = mesh
+        if mesh.n_triangles == 0:
+            raise GeometryError("cannot locate a point in an empty mesh")
         a, b, c = mesh.triangle_corners()
         self.a = a
         self.e1 = b - a
         self.e2 = c - a
         self.det = _cross2(self.e1, self.e2)
-        self._build_grid()
 
-    def _build_grid(self):
-        nodes = self.mesh.nodes
-        cells = max(1, int(np.sqrt(self.mesh.n_triangles / 2)))
+        nodes = mesh.nodes
+        cells = max(1, int(np.sqrt(mesh.n_triangles / 2)))
         span = nodes.max(axis=0) - nodes.min(axis=0)
         self.size = np.where(span > 0, span / cells, 1.0)
         # Shifted by half a cell, so the grid lines of a structured mesh
@@ -320,13 +318,13 @@ class _Locator:
         # bounding boxes (which would put each triangle in 3 x 3 cells).
         self.lo = nodes.min(axis=0) - 0.5 * self.size
         self.ncell = cells + 1
-        corners = nodes[self.mesh.triangles]
-        pad = 1e-9 * self.mesh.h_max
+        corners = nodes[mesh.triangles]
+        pad = 1e-9 * mesh.h_max
         lo = self._cell_ij(corners.min(axis=1) - pad)
         hi = self._cell_ij(corners.max(axis=1) + pad)
         ny = hi[:, 1] - lo[:, 1] + 1
         count = (hi[:, 0] - lo[:, 0] + 1) * ny
-        tri = np.repeat(np.arange(self.mesh.n_triangles), count)
+        tri = np.repeat(np.arange(mesh.n_triangles), count)
         k = np.arange(len(tri)) - np.repeat(np.cumsum(count) - count, count)
         cell = (lo[tri, 0] + k // ny[tri]) * self.ncell + lo[tri, 1] + k % ny[tri]
         order = np.argsort(cell, kind="stable")  # ascending triangles per cell
@@ -351,83 +349,63 @@ class _Locator:
         l1 = 1.0 - l2 - l3
         return np.stack([l1, l2, l3], axis=-1)
 
-    def locate(self, p):
-        p = np.asarray(p, dtype=float)
-        cell = self._cells(p)
-        idx = self.table[cell, :self.count[cell]]
-        lam = self._bary(p, idx)
-        inside = np.flatnonzero(lam.min(axis=1) >= -_BARY_TOL)
-        if len(inside):
-            return int(idx[inside[0]]), lam[inside[0]]
-        return self._clamp(p)
 
-    def _clamp(self, p):
-        """(triangle, barycentric) with the smallest barycentric violation,
-        the first on ties, coordinates clipped to >= 0 and renormalised."""
-        lam = self._bary(p, np.arange(self.mesh.n_triangles))
-        best = int(np.argmin(-lam.min(axis=1)))
-        clipped = np.clip(lam[best], 0.0, None)
-        return best, clipped / clipped.sum()
+def _outside(p):
+    return GeometryError(f"point ({p[0]:.17g}, {p[1]:.17g}) lies in no triangle of the mesh")
 
-    def locate_many(self, points):
-        n = len(points)
-        tri = np.empty(n, dtype=np.int64)
-        bary = np.empty((n, 3))
-        for s in range(0, n, _LOCATE_CHUNK):
-            p = points[s:s + _LOCATE_CHUNK]
-            cand = self.table[self._cells(p)]            # (c, K), -1 padded
-            lam = self._bary(p[:, None, :], cand)        # (c, K, 3)
-            ok = (cand >= 0) & (lam.min(axis=2) >= -_BARY_TOL)
-            pick = ok.argmax(axis=1)
-            rows = np.arange(len(p))
-            tri[s:s + len(p)] = cand[rows, pick]
-            bary[s:s + len(p)] = lam[rows, pick]
-            for i in np.flatnonzero(~ok[rows, pick]):
-                tri[s + i], bary[s + i] = self._clamp(p[i])
-        return tri, bary
+
+def locate_point(locator: Locator, p):
+    """(triangle, barycentric (3,)) of the triangle containing p.
+
+    Of several triangles containing p (on shared edges and vertices) the
+    smallest index wins. A point that no triangle holds (all barycentric
+    coordinates >= -_BARY_TOL) raises GeometryError.
+    """
+    p = np.asarray(p, dtype=float)
+    cell = locator._cells(p)
+    idx = locator.table[cell, :locator.count[cell]]
+    lam = locator._bary(p, idx)
+    inside = np.flatnonzero(lam.min(axis=1) >= -_BARY_TOL)
+    if not len(inside):
+        raise _outside(p)
+    return int(idx[inside[0]]), lam[inside[0]]
 
 
 # Points per batch in locate_many; bounds its (chunk, K, 3) temporaries.
 _LOCATE_CHUNK = 1024
 
 
-def _locator(mesh):
-    if mesh.n_triangles == 0:
-        raise GeometryError("cannot locate a point in an empty mesh")
-    if mesh._locator is None:
-        mesh._locator = _Locator(mesh)
-    return mesh._locator
-
-
-def locate_point(mesh: Mesh, p):
-    """(triangle, barycentric (3,)) of the triangle containing p, or of the
-    nearest one if p is outside.
-
-    Of several triangles containing p (on shared edges and vertices) the
-    smallest index wins. Total function: outside points are clamped to
-    the triangle with the smallest barycentric violation, ties broken by
-    smallest triangle index, the coordinates clipped to >= 0 and
-    renormalised.
-    """
-    return _locator(mesh).locate(p)
-
-
-def locate_many(mesh: Mesh, points):
+def locate_many(locator: Locator, points):
     """``locate_point`` for an (n, 2) array of points, batched.
 
     Returns (triangle (n,), barycentric (n, 3)), point by point equal to
-    ``locate_point``.
+    ``locate_point``; the first point that no triangle holds raises.
     """
-    return _locator(mesh).locate_many(np.asarray(points, dtype=float).reshape(-1, 2))
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    tri = np.empty(len(points), dtype=np.int64)
+    bary = np.empty((len(points), 3))
+    for s in range(0, len(points), _LOCATE_CHUNK):
+        p = points[s:s + _LOCATE_CHUNK]
+        cand = locator.table[locator._cells(p)]       # (c, K), -1 padded
+        lam = locator._bary(p[:, None, :], cand)      # (c, K, 3)
+        ok = (cand >= 0) & (lam.min(axis=2) >= -_BARY_TOL)
+        pick = ok.argmax(axis=1)
+        rows = np.arange(len(p))
+        missed = np.flatnonzero(~ok[rows, pick])
+        if len(missed):
+            raise _outside(p[missed[0]])
+        tri[s:s + len(p)] = cand[rows, pick]
+        bary[s:s + len(p)] = lam[rows, pick]
+    return tri, bary
 
 
-def barycentric(mesh: Mesh, triangle_index, points):
+def barycentric(locator: Locator, triangle_index, points):
     """Barycentric coordinates (n, 3) of points in the given triangles.
 
     Same arithmetic as ``locate_point``; no inside test, so points may
     lie outside their triangle.
     """
-    return _locator(mesh)._bary(np.asarray(points, dtype=float), triangle_index)
+    return locator._bary(np.asarray(points, dtype=float), triangle_index)
 
 
 def fitted_mesh(domain: Rect, circles, h) -> Mesh:

@@ -56,10 +56,9 @@ def full_scan_locate(m, points):
     """Point location by a full scan, as an oracle for the grid locator.
 
     Per point: the first triangle in ascending index whose barycentric
-    coordinates are all >= -_BARY_TOL, else the triangle with the
-    smallest violation (first on ties), its coordinates clipped to >= 0
-    and renormalised. Returns (triangle (n,), barycentric (n, 3),
-    inside (n,)).
+    coordinates are all >= -_BARY_TOL. Returns (triangle (n,),
+    barycentric (n, 3), inside (n,)); a point that no triangle holds
+    reads triangle -1 and NaN coordinates.
     """
     a, b, c = m.triangle_corners()
     e1, e2 = b - a, c - a
@@ -73,14 +72,10 @@ def full_scan_locate(m, points):
         l2 = (d[:, 0] * e2[:, 1] - d[:, 1] * e2[:, 0]) / det
         l3 = (e1[:, 0] * d[:, 1] - e1[:, 1] * d[:, 0]) / det
         lam = np.column_stack([1.0 - l2 - l3, l2, l3])
-        worst = lam.min(axis=1)
-        hits = np.flatnonzero(worst >= -mesh._BARY_TOL)
+        hits = np.flatnonzero(lam.min(axis=1) >= -mesh._BARY_TOL)
         inside[i] = len(hits) > 0
-        tri[i] = hits[0] if inside[i] else np.argmax(worst)
-        bary[i] = lam[tri[i]]
-        if not inside[i]:
-            clipped = np.clip(bary[i], 0.0, None)
-            bary[i] = clipped / clipped.sum()
+        tri[i] = hits[0] if inside[i] else -1
+        bary[i] = lam[tri[i]] if inside[i] else np.nan
     return tri, bary, inside
 
 

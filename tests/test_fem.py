@@ -11,14 +11,13 @@ from augeig.errors import LinalgError
 from augeig.fem import (
     Coefficient,
     CrossAssembler,
-    a_norm,
     assemble_mass,
     assemble_stiffness,
     build_space,
     build_transfer,
 )
-from augeig.linalg import SparseMatrix
-from augeig.mesh import Rect, generate_structured_mesh, locate_point
+from augeig.linalg import SparseMatrix, a_norm
+from augeig.mesh import Locator, Rect, generate_structured_mesh, locate_point
 
 from conftest import fitted_mesh, full_scan_locate, local_stiffness
 
@@ -214,10 +213,15 @@ def test_bordered_rejects_dependent_columns(square_pair):
 
 
 def test_bordered_accepts_single_vector(square_pair):
+    # One fine function is an (n, 1) block; a bare vector or an (m, n)
+    # block is rejected, not reshaped.
     sp_ = square_pair
-    u = _orthonormal_block(sp_["A_h"], sp_["fine"].n_dof, 1)[:, 0]
-    sys = sp_["assembler"].assemble(u)
+    U = _orthonormal_block(sp_["A_h"], sp_["fine"].n_dof, 1)
+    sys = sp_["assembler"].assemble(U)
     assert sys.m == 1
+    for bad in (U[:, 0], U.T, np.column_stack([U, U]).T):
+        with pytest.raises(LinalgError, match="is not"):
+            sp_["assembler"].assemble(bad)
 
 
 def test_cross_assembly_bad_mode(square_pair):
@@ -306,6 +310,7 @@ def _exact_oracle(coarse, fine, coeff, U):
     u = np.zeros((fmesh.n_nodes, U.shape[1]))
     u[fine.free_nodes] = U
     n_H = coarse.n_dof
+    locator = Locator(cmesh)
     A_H, B_H = np.zeros((n_H, n_H)), np.zeros((n_H, n_H))
     a_h, b_h = np.zeros((n_H, U.shape[1])), np.zeros((n_H, U.shape[1]))
     for t, tri in enumerate(fmesh.triangles):
@@ -316,7 +321,7 @@ def _exact_oracle(coarse, fine, coeff, U):
         centroid = x.mean(axis=0)
         for i, j in ((0, 1), (1, 2), (2, 0)):
             p = 0.5 * (x[i] + x[j])
-            verts = cmesh.triangles[locate_point(cmesh, p + 1e-6 * (centroid - p))[0]]
+            verts = cmesh.triangles[locate_point(locator, p + 1e-6 * (centroid - p))[0]]
             inv = np.linalg.inv(np.column_stack([np.ones(3), cmesh.nodes[verts]])).T
             values = inv @ np.array([1.0, p[0], p[1]])
             grads = inv[:, 1:]

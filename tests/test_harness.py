@@ -1,6 +1,8 @@
 """Configuration parsing, cluster handling, error measurement, CSV output."""
 
+import gc
 import re
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -395,3 +397,44 @@ def test_preconditioners_built_once_in_build_hierarchy(tmp_path, monkeypatch):
     timing_study(cfg)
     assert len(hierarchies) == 2
     assert [p for p, _ in built] == ["build"] * 6
+
+
+@pytest.mark.parametrize("mode", ["galerkin", "exact"])
+def test_locators_built_per_call_and_dropped(mode, monkeypatch):
+    """Each build_transfer call builds one Locator of the coarse mesh and
+    each exact-mode CrossAssembler one of its own; a Galerkin assembler
+    and multilevel_solve build none. No locator outlives the call that
+    built it, so none is reachable from the built Hierarchy."""
+    import augeig.multilevel as multilevel
+
+    built, calls = [], []
+    init = mesh.Locator.__init__
+
+    def counting_init(self, m):
+        init(self, m)
+        built.append(weakref.ref(self))
+
+    def per_call(name):
+        fn = getattr(multilevel, name)
+
+        def wrapped(*args, **kwargs):
+            before = len(built)
+            out = fn(*args, **kwargs)
+            calls.append((name, len(built) - before))
+            return out
+        monkeypatch.setattr(multilevel, name, wrapped)
+
+    monkeypatch.setattr(mesh.Locator, "__init__", counting_init)
+    per_call("build_transfer")
+    per_call("CrossAssembler")
+    plan = LevelPlan(coarse_h=0.5, h1=0.25, n_levels=3, nev=2, mode=mode)
+    ex = unit_square()
+    hier = build_hierarchy(plan, ex.domain, ex.circles, ex.coefficient())
+    per_assembler = 1 if mode == "exact" else 0
+    assert sorted(calls) == [("CrossAssembler", per_assembler)] * 3 + [("build_transfer", 1)] * 5
+    assert len(built) == 5 + 3 * per_assembler
+    gc.collect()
+    assert all(ref() is None for ref in built)
+
+    multilevel_solve(hier, plan)
+    assert len(built) == 5 + 3 * per_assembler

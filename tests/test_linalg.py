@@ -348,6 +348,13 @@ def test_a_normalize():
         a_normalize(A, np.zeros(10))
 
 
+def test_a_normalize_rejects_indefinite():
+    # v^T A v = -1: the energy norm is undefined, so no NaN vector comes back.
+    A = SparseMatrix(sp.csr_matrix(np.diag([1.0, -1.0])))
+    with pytest.raises(LinalgError, match="negative radicand"):
+        a_normalize(A, np.array([0.0, 1.0]))
+
+
 # -- reference eigensolver -------------------------------------------------
 
 def test_reference_known_eigenvalues():

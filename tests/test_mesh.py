@@ -1,11 +1,15 @@
 """Mesh generation, interface fitting, classification and location."""
 
+import re
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
 from augeig.errors import GeometryError
 from augeig.mesh import (
     Circle,
+    Locator,
     Mesh,
     Rect,
     _half_edges,
@@ -21,6 +25,14 @@ from conftest import fitted_mesh, full_scan_locate
 
 
 # -- structured generation -------------------------------------------------
+
+def test_mesh_is_frozen():
+    mesh = generate_structured_mesh(Rect(0, 0, 2, 2), 1.0)
+    with pytest.raises(FrozenInstanceError):
+        mesh.h_max = 0.5
+    with pytest.raises(FrozenInstanceError):
+        mesh.region_tag = np.ones(mesh.n_triangles, dtype=np.int64)
+
 
 def test_structured_counts_square():
     mesh = generate_structured_mesh(Rect(0, 0, 2, 2), 1.0)
@@ -171,8 +183,9 @@ def test_nonnested_levels(ex1):
 
 def test_classify_tags(ex1):
     mesh = fitted_mesh(ex1, 2 / 17)
+    locator = Locator(mesh)
     for p, tag in (((2 / 3, 1.0), 1), ((0.1, 0.1), 0), ((4 / 3, 1.0), 2)):
-        tri, _ = locate_point(mesh, p)
+        tri, _ = locate_point(locator, p)
         assert mesh.region_tag[tri] == tag
 
 
@@ -199,25 +212,31 @@ def test_tagged_area_superlinear_decay(ex1):
 def test_locate_vertex_and_centroid():
     mesh = generate_structured_mesh(Rect(0, 0, 2, 2), 0.5)
     tri = mesh.triangles[5]
-    t, lam = locate_point(mesh, mesh.nodes[tri[0]])
+    locator = Locator(mesh)
+    t, lam = locate_point(locator, mesh.nodes[tri[0]])
     # The vertex lies in the triangle found: its coordinates pass the
     # inside test, and one of them is the vertex's.
     assert tri[0] in mesh.triangles[t]
     assert lam.min() >= -1e-12 and np.isclose(lam.max(), 1.0, rtol=0, atol=1e-14)
     assert abs(lam.sum() - 1.0) < 1e-14
     cen = mesh.nodes[tri].mean(axis=0)
-    t, lam = locate_point(mesh, cen)
+    t, lam = locate_point(locator, cen)
     assert np.allclose(lam, 1 / 3, atol=1e-12)
     assert t == 5
 
 
-def test_locate_outside_clamps():
-    mesh = generate_structured_mesh(Rect(0, 0, 2, 2), 0.5)
-    # Triangles 0 and 1 both read a violation of -2 at (-1, -1); the first
-    # wins, and its clipped coordinates put the point on the corner (0, 0).
-    t, lam = locate_point(mesh, (-1.0, -1.0))
-    assert t == 0 and np.array_equal(lam, [1.0, 0.0, 0.0])
-    assert np.array_equal(lam @ mesh.nodes[mesh.triangles[t]], [0.0, 0.0])
+def test_locate_outside_raises():
+    # A point that no triangle holds is an error that names the point,
+    # whether it lies beyond the grid or in a cell next to the mesh.
+    locator = Locator(generate_structured_mesh(Rect(0, 0, 2, 2), 0.5))
+    for p in ((-1.0, -1.0), (2.0 + 1e-9, 1.0)):
+        named = re.escape(f"point ({p[0]:.17g}, {p[1]:.17g})")
+        with pytest.raises(GeometryError, match=named):
+            locate_point(locator, p)
+        with pytest.raises(GeometryError, match=named):  # the first outside point
+            locate_many(locator, [(1.0, 1.0), p, (-5.0, 0.0)])
+    t, _ = locate_point(locator, (2.0, 1.0))  # on the boundary: inside
+    assert t >= 0
 
 
 def test_locate_reconstruction_small():
@@ -236,8 +255,9 @@ def _check_reconstruction(mesh):
     lo = mesh.nodes.min(axis=0)
     hi = mesh.nodes.max(axis=0)
     pts = lo + rng.random((1000, 2)) * (hi - lo)
+    locator = Locator(mesh)
     for p in pts:
-        tri, lam = locate_point(mesh, p)
+        tri, lam = locate_point(locator, p)
         rec = lam @ mesh.nodes[mesh.triangles[tri]]
         assert np.linalg.norm(rec - p) < 1e-12
 
@@ -248,10 +268,8 @@ def test_locate_empty_mesh():
         region_tag=np.zeros(0, dtype=np.int64),
         boundary_node=np.zeros(0, dtype=bool), h_max=0.0,
     )
-    with pytest.raises(GeometryError):
-        locate_point(empty, (0.0, 0.0))
-    with pytest.raises(GeometryError):
-        locate_many(empty, np.zeros((3, 2)))
+    with pytest.raises(GeometryError, match="empty mesh"):
+        Locator(empty)
 
 
 def _location_probes(mesh, finer, rng):
@@ -291,10 +309,14 @@ def test_locate_matches_full_scan_oracle(ex1, h, finer_h, fitted):
     mesh, finer = _location_pair(ex1, h, finer_h, fitted)
     pts = _location_probes(mesh, finer, np.random.default_rng(11))
     want_tri, want_bary, want_inside = full_scan_locate(mesh, pts)
-    assert (~want_inside).sum() >= 100  # the outside points are clamped
-    tri, bary = locate_many(mesh, pts)
-    assert np.array_equal(tri, want_tri)
-    assert np.array_equal(bary, want_bary)
+    assert (~want_inside).sum() >= 100  # the outside points raise
+    locator = Locator(mesh)
+    tri, bary = locate_many(locator, pts[want_inside])
+    assert np.array_equal(tri, want_tri[want_inside])
+    assert np.array_equal(bary, want_bary[want_inside])
+    for p in pts[~want_inside]:
+        with pytest.raises(GeometryError, match="lies in no triangle"):
+            locate_many(locator, p[None])
 
 
 @pytest.mark.parametrize("h, finer_h, fitted", _LOCATION_MESHES)
@@ -302,10 +324,17 @@ def test_locate_many_matches_locate_point(ex1, h, finer_h, fitted):
     mesh, finer = _location_pair(ex1, h, finer_h, fitted)
     pts = _location_probes(mesh, finer, np.random.default_rng(11))
     lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
-    assert ((pts < lo) | (pts > hi)).any(axis=1).sum() >= 100  # clamped points
-    tri, bary = locate_many(mesh, pts)
-    for p, t, lam in zip(pts, tri, bary):
-        got_t, got_lam = locate_point(mesh, p)
+    outside = ((pts < lo) | (pts > hi)).any(axis=1)
+    assert outside.sum() >= 100
+    locator = Locator(mesh)
+    tri, bary = locate_many(locator, pts[~outside])
+    for p, t, lam in zip(pts[~outside], tri, bary):
+        got_t, got_lam = locate_point(locator, p)
         assert got_t == t
         assert np.array_equal(got_lam, lam)
+    for p in pts[outside]:
+        with pytest.raises(GeometryError, match="lies in no triangle"):
+            locate_point(locator, p)
+    with pytest.raises(GeometryError, match="lies in no triangle"):
+        locate_many(locator, pts)
 
