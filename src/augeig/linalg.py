@@ -1,10 +1,11 @@
 """Sparse symmetric matrices and the solvers built on them.
 
-Contains the CSR container used for stiffness/mass operators, a
-preconditioned conjugate-gradient solver for a block of uncoupled
-right-hand sides with an explicit A-norm contraction target per column,
-a dense generalized symmetric eigensolver, and the block
-inverse-subspace iteration used as the reference eigensolver.
+Contains the CSR container used for stiffness/mass operators, the
+nonnested multigrid preconditioner, a preconditioned conjugate-gradient
+solver for a block of uncoupled right-hand sides with an explicit A-norm
+contraction target per column, a dense generalized symmetric
+eigensolver, and the block inverse-subspace iteration used as the
+reference eigensolver.
 """
 
 from dataclasses import dataclass
@@ -20,9 +21,6 @@ from .errors import ConfigError, ConvergenceError, LinalgError
 # residual-based A-norm error bound stays conservative.
 _LMAX_INFLATE = 1.10
 _LMIN_DEFLATE = 0.50
-
-# SSOR relaxation factor of the PCG preconditioner.
-_SSOR_OMEGA = 1.6
 
 # Reference eigensolver: sweep cap and the PCG contraction of its inner solves.
 _REF_MAX_SWEEPS = 500
@@ -66,31 +64,43 @@ class SolveReport:
     achieved_contraction: float
 
 
-class _SsorPreconditioner:
-    """Symmetric SOR preconditioner applied through triangular solves, with
-    its matrix's spectrum bounds lmin, lmax for the PCG stopping rule."""
+class VCyclePreconditioner:
+    """Nonnested multigrid preconditioner of one level's stiffness matrix,
+    with that matrix's spectrum bounds lmin, lmax for the PCG stopping rule.
 
-    def __init__(self, csr):
-        omega = _SSOR_OMEGA
-        d = csr.diagonal()
-        if (d <= 0).any():
-            raise LinalgError("SSOR requires a positive diagonal: matrix is not SPD")
-        dw = sp.diags(d / omega)
-        lower = sp.tril(csr, k=-1, format="csc") + dw
-        upper = sp.triu(csr, k=1, format="csc") + dw
-        opts = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0)
-        self._lower = spla.splu(lower, **opts)
-        self._upper = spla.splu(upper, **opts)
-        self._dscale = (d / omega) * (2.0 - omega) / omega
+    Level 1 (no coarse part) holds a sparse LU factor of its matrix, so
+    apply is A^-1 there; coarsest_solve shift-inverts with it. A level
+    k >= 2 applies one symmetric V(1,1) cycle from zero: forward
+    Gauss-Seidel, the residual restricted by Q^T, level k-1's
+    preconditioner, the correction prolonged by Q, and backward
+    Gauss-Seidel on the new residual. Q is the interpolation from level
+    k-1, whose space is not a subspace of this one. The cycle is SPD for
+    any SPD coarse part (Bramble, Pasciak & Xu, Math. Comp. 56 (1991)
+    1-34; Xu, Computing 56 (1996) 215-235).
+    """
+
+    def __init__(self, csr, coarse=None, Q=None):
+        if (csr.diagonal() <= 0).any():
+            raise LinalgError("Gauss-Seidel requires a positive diagonal: matrix is not SPD")
         self.lmin, self.lmax = _power_bounds(csr)
         if self.lmax <= 0:
             raise LinalgError("non-SPD matrix detected (nonpositive spectrum)")
+        self._csr, self._coarse, self._Q = csr, coarse, Q
+        if coarse is None:
+            self._factor = spla.splu(csr.tocsc())
+        else:
+            # D + L in natural order; its transposed solve is D + U, as A is symmetric.
+            self._factor = spla.splu(sp.tril(csr, format="csc"), permc_spec="NATURAL",
+                                     diag_pivot_thresh=0.0)
 
     def apply(self, R):
-        """M^-1 R for an (n, k) block, column by column inside SuperLU."""
-        Z = self._lower.solve(R)
-        Z *= self._dscale[:, None]
-        return self._upper.solve(Z)
+        """M^-1 R for an (n, k) block (or an (n,) vector)."""
+        X = self._factor.solve(R)  # level 1: A^-1 R; else forward Gauss-Seidel
+        if self._coarse is None:
+            return X
+        X += self._Q @ self._coarse.apply(self._Q.T @ (R - self._csr @ X))
+        X += self._factor.solve(R - self._csr @ X, trans="T")
+        return X
 
 
 def _power_bounds(csr):
@@ -230,6 +240,13 @@ def a_normalize(A: SparseMatrix, v):
     return v
 
 
+def check_pair_count(nev, n):
+    """A nev above n/4 is a ConfigError: the pair count comes from the run
+    configuration."""
+    if nev > n // 4:
+        raise ConfigError(f"nev={nev} exceeds n/4={n // 4} of a {n}-dof level")
+
+
 def reference_eigensolve(A: SparseMatrix, B: SparseMatrix, nev, tol, M, seed=0):
     """Smallest nev eigenpairs of A u = lambda B u.
 
@@ -240,11 +257,10 @@ def reference_eigensolve(A: SparseMatrix, B: SparseMatrix, nev, tol, M, seed=0):
     ||A u - lambda B u|| / ||B u|| drops below tol (both relative to
     max(1, lambda)). Eigenvectors are a-normalized with the
     largest-magnitude component positive. A nev above n/4 is a
-    ConfigError: the pair count comes from the run configuration.
+    ConfigError (check_pair_count).
     """
     n = A.n
-    if nev > n // 4:
-        raise ConfigError(f"nev={nev} exceeds n/4={n // 4} of a {n}-dof level")
+    check_pair_count(nev, n)
     p = min(nev + 5, n)
 
     rng = np.random.default_rng(seed)

@@ -1,6 +1,7 @@
 """Shared fixtures: example geometries and small cached discretizations."""
 
 import os
+from types import SimpleNamespace
 
 # One BLAS thread, as perfbench/run.py uses, set before numpy is imported
 # (OpenBLAS reads it once at load); a caller's own setting wins.
@@ -8,14 +9,16 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.linalg import eigsh
 
 from augeig.augsub import EigenState
 from augeig.fem import CrossAssembler, assemble_mass, assemble_stiffness, build_space, build_transfer
 from augeig.harness import example1, unit_square
-from augeig.linalg import _SsorPreconditioner, a_normalize, reference_eigensolve
+from augeig import linalg, mesh
+from augeig.linalg import a_normalize, reference_eigensolve
 from augeig.multilevel import LevelData
-from augeig import mesh
 
 
 def fitted_mesh(ex, h):
@@ -47,9 +50,25 @@ def local_stiffness(tri_coords, k=1.0):
     return 0.5 * det * k * (g @ g.T)
 
 
-def ssor(A):
-    """The SSOR preconditioner of A, as build_hierarchy makes one per level."""
-    return _SsorPreconditioner(A.csr)
+def sgs(A):
+    """A test-local SPD preconditioner of a SparseMatrix: symmetric
+    Gauss-Seidel, M^-1 R = (D + U)^-1 D (D + L)^-1 R, with A's spectrum
+    bounds from linalg._power_bounds.
+
+    It needs many PCG iterations, which the PCG unit tests rely on; a
+    one-level V-cycle is an exact LU and converges in one.
+    """
+    opts = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0)
+    lower = spla.splu(sp.tril(A.csr, format="csc"), **opts)
+    upper = spla.splu(sp.triu(A.csr, format="csc"), **opts)
+    d = A.csr.diagonal()
+
+    def apply(R):
+        Z = lower.solve(R)
+        return upper.solve(Z * (d[:, None] if Z.ndim == 2 else d))
+
+    lmin, lmax = linalg._power_bounds(A.csr)
+    return SimpleNamespace(apply=apply, lmin=lmin, lmax=lmax)
 
 
 def full_scan_locate(m, points):
@@ -106,7 +125,7 @@ def square_pair():
     B_h = assemble_mass(fine)
     P = build_transfer(coarse, fine)
     assembler = CrossAssembler(coarse, fine, coeff, A_h, B_h, P, mode="galerkin")
-    level = LevelData(space=fine, A_h=A_h, B_h=B_h, precond=ssor(A_h), assembler=assembler)
+    level = LevelData(space=fine, A_h=A_h, B_h=B_h, precond=sgs(A_h), assembler=assembler)
     return {
         "ex": ex, "coeff": coeff, "coarse": coarse, "fine": fine,
         "A_h": A_h, "B_h": B_h, "P": P, "assembler": assembler, "level": level,
@@ -125,7 +144,7 @@ def square_initial_state(square_pair):
     sp = square_pair
     A_H = assemble_stiffness(sp["coarse"], sp["coeff"])
     B_H = assemble_mass(sp["coarse"])
-    lams, vecs = reference_eigensolve(A_H, B_H, 3, 1e-11, ssor(A_H))
+    lams, vecs = reference_eigensolve(A_H, B_H, 3, 1e-11, sgs(A_H))
     V = sp["P"] @ vecs
     for j in range(V.shape[1]):
         V[:, j] = a_normalize(sp["A_h"], V[:, j])

@@ -29,7 +29,7 @@ from augeig.harness import (
 from augeig.linalg import SparseMatrix, a_normalize, pcg_solve, reference_eigensolve
 from augeig.multilevel import LevelPlan, build_hierarchy, multilevel_solve
 
-from conftest import eigsh_reference, fitted_mesh, ssor
+from conftest import eigsh_reference, fitted_mesh, sgs
 from test_linalg import charpoly_roots, random_spd
 
 EXACT_L1 = np.pi ** 2 / 2       # (0,2)^2 Dirichlet Laplacian, first eigenvalue
@@ -61,7 +61,7 @@ def _contraction_study(ex, coarse_h, fine_h, steps, floor, nev=4):
     coeff = ex.coefficient()
     A_H = assemble_stiffness(hier.coarse_space, coeff)
     cl, cv = reference_eigensolve(A_H, assemble_mass(hier.coarse_space), nev, 1e-12,
-                                  ssor(A_H))
+                                  sgs(A_H))
     V = lev.assembler.P @ cv
     for j in range(nev):
         V[:, j] = a_normalize(lev.A_h, V[:, j])
@@ -212,7 +212,7 @@ def test_criterion_7_kernel_oracles():
     for n in (10, 30, 50):
         M = SparseMatrix(sp.csr_matrix(random_spd(n, rng)))
         b = rng.standard_normal(n)
-        X, _ = pcg_solve(M, b[:, None], None, 1e-12, ssor(M))
+        X, _ = pcg_solve(M, b[:, None], None, 1e-12, sgs(M))
         x = X[:, 0]
         pcg_diff = max(pcg_diff, np.linalg.norm(x - np.linalg.solve(M.csr.toarray(), b)))
 

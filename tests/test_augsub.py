@@ -25,7 +25,7 @@ from augeig.fem import (
 from augeig.harness import measure_errors
 from augeig.linalg import a_normalize, dense_sym_gen_eig, pcg_solve, reference_eigensolve
 
-from conftest import fitted_mesh, ssor
+from conftest import fitted_mesh, sgs
 
 
 def _block_error(vectors, ref, clusters, A_h):
@@ -165,10 +165,10 @@ def ex1_bordered(request, ex1):
     A_h, B_h = assemble_stiffness(fine, coeff), assemble_mass(fine)
     P = build_transfer(coarse, fine)
     A_H = assemble_stiffness(coarse, coeff)
-    lams, vecs = reference_eigensolve(A_H, assemble_mass(coarse), 4, 1e-11, ssor(A_H))
+    lams, vecs = reference_eigensolve(A_H, assemble_mass(coarse), 4, 1e-11, sgs(A_H))
     state = EigenState(lambdas=lams,
                        vectors=np.column_stack([a_normalize(A_h, v) for v in (P @ vecs).T]))
-    U, _ = correction_solve(A_h, B_h, state, theta=0.1, M=ssor(A_h))
+    U, _ = correction_solve(A_h, B_h, state, theta=0.1, M=sgs(A_h))
     return CrossAssembler(coarse, fine, coeff, A_h, B_h, P, request.param).assemble(U)
 
 

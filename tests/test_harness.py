@@ -368,11 +368,11 @@ def test_preconditioners_built_once_in_build_hierarchy(tmp_path, monkeypatch):
     import augeig.linalg as linalg
 
     built, phase, hierarchies = [], ["solve"], []
-    init = linalg._SsorPreconditioner.__init__
+    init = linalg.VCyclePreconditioner.__init__
 
-    def counting_init(self, csr):
+    def counting_init(self, csr, coarse=None, Q=None):
         built.append((phase[0], csr))
-        init(self, csr)
+        init(self, csr, coarse, Q)
 
     def phased_build(*args, **kwargs):
         phase[0] = "build"
@@ -380,7 +380,7 @@ def test_preconditioners_built_once_in_build_hierarchy(tmp_path, monkeypatch):
         phase[0] = "solve"
         return hierarchies[-1]
 
-    monkeypatch.setattr(linalg._SsorPreconditioner, "__init__", counting_init)
+    monkeypatch.setattr(linalg.VCyclePreconditioner, "__init__", counting_init)
     monkeypatch.setattr(harness, "build_hierarchy", phased_build)
     cfg = load_config_text(tmp_path, (
         "example = unit_square\ncoarse_h = 0.25\nh1 = 0.125\nn_levels = 3\n"

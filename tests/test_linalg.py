@@ -11,13 +11,17 @@ from augeig.errors import ConfigError, ConvergenceError, LinalgError
 from augeig.linalg import (
     SolveReport,
     SparseMatrix,
+    VCyclePreconditioner,
     a_normalize,
     dense_sym_gen_eig,
     pcg_solve,
     reference_eigensolve,
 )
 
-from conftest import ssor
+from augeig.harness import unit_square
+from augeig.multilevel import LevelPlan, build_hierarchy
+
+from conftest import sgs
 
 
 def laplacian_1d(n, h=None):
@@ -76,7 +80,7 @@ def test_sparse_matrix_holds_exactly_nnz():
 def test_eig_bounds_bracket_spectrum():
     # Well-separated spectrum so 20 power steps are enough to be sharp.
     A = SparseMatrix(sp.diags(np.arange(1.0, 11.0)).tocsr())
-    M = ssor(A)
+    M = VCyclePreconditioner(A.csr)
     lmin, lmax = M.lmin, M.lmax
     assert 0 < lmin <= 2.0
     assert 9.0 <= lmax <= 10.001
@@ -85,10 +89,11 @@ def test_eig_bounds_bracket_spectrum():
 # -- PCG -------------------------------------------------------------------
 
 def _single_rhs_pcg(A, rhs, x0, theta):
-    """Oracle: the single-vector SSOR-PCG loop that the block solver
-    replaced, step for step, with the same stopping rule and report."""
+    """Oracle: the single-vector PCG loop that the block solver replaced,
+    step for step, with the same stopping rule and report, preconditioned
+    by the test-local symmetric Gauss-Seidel."""
     x = np.array(x0, dtype=float)
-    M = ssor(A)
+    M = sgs(A)
     lmin, lmax = M.lmin, M.lmax
     lmax_up = lmax * linalg._LMAX_INFLATE
     lmin_dn = lmin * linalg._LMIN_DEFLATE
@@ -99,10 +104,7 @@ def _single_rhs_pcg(A, rhs, x0, theta):
         return x, SolveReport(0, 0.0)
     target = theta * r0_norm * np.sqrt(lmin_dn / lmax_up)
 
-    def precondition(r):
-        return M._upper.solve(M._lower.solve(r) * M._dscale)
-
-    z = precondition(r)
+    z = M.apply(r)
     p = z.copy()
     rz = r @ z
     k = 0
@@ -114,7 +116,7 @@ def _single_rhs_pcg(A, rhs, x0, theta):
         k += 1
         if np.linalg.norm(r) <= target:
             break
-        z = precondition(r)
+        z = M.apply(r)
         rz_new = r @ z
         beta = rz_new / rz
         rz = rz_new
@@ -125,7 +127,7 @@ def _single_rhs_pcg(A, rhs, x0, theta):
 
 
 def _assert_matches_oracle(A, RHS, X0, theta):
-    X, reports = pcg_solve(A, RHS, X0, theta, ssor(A))
+    X, reports = pcg_solve(A, RHS, X0, theta, sgs(A))
     assert X.shape == RHS.shape and len(reports) == RHS.shape[1]
     for j in range(RHS.shape[1]):
         x, report = _single_rhs_pcg(A, RHS[:, j], X0[:, j], theta)
@@ -163,7 +165,7 @@ def test_pcg_matches_dense_solve():
     for n in (5, 20, 50):
         A = SparseMatrix(sp.csr_matrix(random_spd(n, rng)))
         b = rng.standard_normal(n)
-        X, (report,) = pcg_solve(A, b[:, None], None, 1e-12, ssor(A))
+        X, (report,) = pcg_solve(A, b[:, None], None, 1e-12, sgs(A))
         assert np.linalg.norm(X[:, 0] - np.linalg.solve(A.csr.toarray(), b)) < 1e-9
 
 
@@ -173,7 +175,7 @@ def test_pcg_contraction_guarantee():
     b = rng.standard_normal(120)
     for theta in (0.5, 0.1, 0.01):
         x_true = np.linalg.solve(A.csr.toarray(), b)
-        X, (report,) = pcg_solve(A, b[:, None], None, theta, ssor(A))
+        X, (report,) = pcg_solve(A, b[:, None], None, theta, sgs(A))
         assert report.achieved_contraction <= theta
         # True A-norm contraction is bounded by the reported conservative one.
         e = X[:, 0] - x_true
@@ -186,14 +188,14 @@ def test_pcg_warm_start_exact():
     A = laplacian_1d(30)
     x_true = np.linspace(0, 1, 30)
     b = A.csr @ x_true
-    X, (report,) = pcg_solve(A, b[:, None], x_true[:, None], 0.1, ssor(A))
+    X, (report,) = pcg_solve(A, b[:, None], x_true[:, None], 0.1, sgs(A))
     assert report.iterations == 0
     assert np.array_equal(X[:, 0], x_true)
 
 
 def test_pcg_rejects_bad_theta():
     A = laplacian_1d(5)
-    M = ssor(A)
+    M = sgs(A)
     with pytest.raises(LinalgError):
         pcg_solve(A, np.ones((5, 1)), None, 0.0, M)
     with pytest.raises(LinalgError):
@@ -202,7 +204,7 @@ def test_pcg_rejects_bad_theta():
 
 def test_pcg_rejects_dimension_mismatch():
     A = laplacian_1d(5)
-    M = ssor(A)
+    M = sgs(A)
     with pytest.raises(LinalgError):
         pcg_solve(A, np.ones((4, 1)), None, 0.5, M)
     with pytest.raises(LinalgError):
@@ -212,26 +214,31 @@ def test_pcg_rejects_dimension_mismatch():
 
 
 def test_pcg_detects_indefinite():
-    # A nonpositive diagonal stops the SSOR set-up before CG runs.
-    with pytest.raises(LinalgError, match="not SPD"):
-        ssor(SparseMatrix(sp.diags([1.0, -1.0]).tocsr()))
+    # A nonpositive diagonal stops the V-cycle set-up before CG runs, on
+    # level 1 and on a finer level alike.
+    csr = SparseMatrix(sp.diags([1.0, -1.0]).tocsr()).csr
+    with pytest.raises(LinalgError, match="positive diagonal: matrix is not SPD"):
+        VCyclePreconditioner(csr)
+    coarse = VCyclePreconditioner(laplacian_1d(2).csr)
+    with pytest.raises(LinalgError, match="positive diagonal: matrix is not SPD"):
+        VCyclePreconditioner(csr, coarse, sp.identity(2, format="csr"))
     # A positive diagonal with eigenvalues 3 and -1 reaches CG's curvature guard.
     A = SparseMatrix(sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]])))
     with pytest.raises(LinalgError, match=r"p\^T A p <= 0"):
-        pcg_solve(A, np.ones((2, 1)), None, 0.5, ssor(A))
+        pcg_solve(A, np.ones((2, 1)), None, 0.5, sgs(A))
 
 
 def test_pcg_detects_indefinite_preconditioner():
-    # An SPD matrix with a negative definite preconditioner (-M for its
-    # SSOR M, with A's bounds): r^T z < 0 on the first iteration of every
+    # An SPD matrix with a negative definite preconditioner (-M for a
+    # symmetric Gauss-Seidel M, with A's bounds): r^T z < 0 on the first iteration of every
     # active column, caught before any step is taken.
     A = laplacian_1d(30)
-    M = ssor(A)
+    M = sgs(A)
     negated = SimpleNamespace(lmin=M.lmin, lmax=M.lmax, apply=lambda R: -M.apply(R))
     RHS = np.column_stack([np.zeros(30), np.ones(30)])
     with pytest.raises(LinalgError, match=r"preconditioner .*r\^T z <= 0"):
         pcg_solve(A, RHS, None, 0.1, negated)
-    # The same solve with the SSOR preconditioner itself converges.
+    # The same solve with the preconditioner itself converges.
     _, reports = pcg_solve(A, RHS, None, 0.1, M)
     assert all(r.achieved_contraction <= 0.1 for r in reports)
 
@@ -249,10 +256,10 @@ def test_pcg_raises_at_iteration_cap(monkeypatch):
     X0 = np.zeros((n, 4))
     X0[:, 1] = x_true
     with pytest.raises(ConvergenceError, match=r"column 2 .*cap of 3 iterations.*theta=1e-06"):
-        pcg_solve(A, RHS, X0, 1e-6, ssor(A))
+        pcg_solve(A, RHS, X0, 1e-6, sgs(A))
     # The same block within the cap converges.
     monkeypatch.undo()
-    _, reports = pcg_solve(A, RHS, X0, 1e-6, ssor(A))
+    _, reports = pcg_solve(A, RHS, X0, 1e-6, sgs(A))
     assert [r.iterations for r in reports[:2]] == [0, 0]
     assert min(r.iterations for r in reports[2:]) > 3
 
@@ -276,14 +283,17 @@ def _plain_cg_iterations(A, b, target):
     raise AssertionError("plain CG did not reach the target")
 
 
-def test_ssor_accelerates():
-    # With the SSOR preconditioner, plain CG must take more iterations to
-    # reach the residual that SSOR-preconditioned CG reached.
-    A = laplacian_1d(200)
-    b = np.ones(200)
-    X, (report,) = pcg_solve(A, b[:, None], None, 1e-8, ssor(A))
+def test_vcycle_accelerates():
+    # On the finest level of a three-level hierarchy, plain CG must take
+    # more iterations to reach the residual that V-cycle PCG reached.
+    ex = unit_square()
+    plan = LevelPlan(coarse_h=0.25, h1=0.125, n_levels=3)
+    finest = build_hierarchy(plan, ex.domain, ex.circles, ex.coefficient()).levels[-1]
+    A = finest.A_h
+    b = np.ones(A.n)
+    X, (report,) = pcg_solve(A, b[:, None], None, 1e-8, finest.precond)
     plain = _plain_cg_iterations(A, b, np.linalg.norm(b - A.csr @ X[:, 0]))
-    assert report.iterations < plain
+    assert report.iterations <= 10 < plain
 
 
 # -- dense generalized eigensolver -----------------------------------------
@@ -361,7 +371,7 @@ def test_reference_known_eigenvalues():
     n = 80
     A = laplacian_1d(n)
     B = SparseMatrix(sp.identity(n, format="csr"))
-    lams, vecs = reference_eigensolve(A, B, 3, 1e-11, ssor(A))
+    lams, vecs = reference_eigensolve(A, B, 3, 1e-11, sgs(A))
     exact = 2 - 2 * np.cos(np.arange(1, 4) * np.pi / (n + 1))
     assert np.abs(lams - exact).max() < 1e-9
     for i in range(3):
@@ -375,8 +385,8 @@ def test_reference_seed_invariance():
     n = 60
     A = laplacian_1d(n)
     B = SparseMatrix(sp.identity(n, format="csr"))
-    l0, v0 = reference_eigensolve(A, B, 2, 1e-11, ssor(A), seed=0)
-    l1, v1 = reference_eigensolve(A, B, 2, 1e-11, ssor(A), seed=123)
+    l0, v0 = reference_eigensolve(A, B, 2, 1e-11, sgs(A), seed=0)
+    l1, v1 = reference_eigensolve(A, B, 2, 1e-11, sgs(A), seed=123)
     assert np.abs(l0 - l1).max() < 1e-9
     assert np.abs(v0 - v1).max() < 1e-5  # sign fixed by the normalization
 
@@ -387,8 +397,8 @@ def test_reference_scaling():
     B = SparseMatrix(sp.identity(n, format="csr"))
     c = 3.7
     cA = SparseMatrix(A.csr * c)
-    l1, _ = reference_eigensolve(A, B, 2, 1e-12, ssor(A))
-    l2, _ = reference_eigensolve(cA, B, 2, 1e-12, ssor(cA))
+    l1, _ = reference_eigensolve(A, B, 2, 1e-12, sgs(A))
+    l2, _ = reference_eigensolve(cA, B, 2, 1e-12, sgs(cA))
     assert np.abs(l2 - c * l1).max() < 1e-9 * c
 
 
@@ -396,7 +406,7 @@ def test_reference_nev_guard():
     A = laplacian_1d(10)
     B = SparseMatrix(sp.identity(10, format="csr"))
     with pytest.raises(ConfigError):
-        reference_eigensolve(A, B, 5, 1e-8, ssor(A))
+        reference_eigensolve(A, B, 5, 1e-8, sgs(A))
 
 
 def test_reference_inner_breakdown_raises(monkeypatch):
@@ -415,5 +425,5 @@ def test_reference_inner_breakdown_raises(monkeypatch):
     monkeypatch.setattr(linalg, "_iteration_cap", lambda n: 1)
     monkeypatch.setattr(linalg, "pcg_solve", pcg_recording)
     with pytest.raises(ConvergenceError, match=r"PCG column \d+ stopped at its cap of 1 "):
-        reference_eigensolve(A, B, 2, 1e-11, ssor(A))
+        reference_eigensolve(A, B, 2, 1e-11, sgs(A))
     assert calls == [7]
