@@ -2,8 +2,8 @@
 
 Fine-mesh linear correction with a contraction-controlled PCG solve, the
 small bordered eigenproblem on the coarse space plus the corrected fine
-functions, eigenpair selection by border-component score, and reassembly
-of the fine-space iterates.
+functions, whose m lowest Ritz pairs are kept, and reassembly of the
+fine-space iterates.
 """
 
 from dataclasses import dataclass, field
@@ -55,48 +55,18 @@ def correction_solve(A_h: SparseMatrix, B_h: SparseMatrix, state: EigenState,
 
 
 def solve_bordered(sys):
-    """The lowest k = min(2m, N_H + m - 1) bordered eigenpairs, ascending.
+    """The lowest sys.m bordered eigenpairs, ascending.
 
+    These are the Ritz pairs that the augmented subspace step keeps.
     Shift-invert Lanczos at shift 0 on the sparse pencil, so SuperLU
     factors K (eigsh orders the pairs ascending); a fixed start vector
     makes repeated calls bit-identical. Returns (lambdas, coarse parts
-    (N_H, k), border parts (m, k)), B-orthonormal.
+    (N_H, m), border parts (m, m)), B-orthonormal.
     """
     K, n_H = sys.full_stiffness(), sys.A_H.shape[0]
-    w, V = eigsh(K, k=min(2 * sys.m, K.shape[0] - 1), M=sys.full_mass(), sigma=0.0,
-                 which="LM", tol=0, v0=np.ones(K.shape[0]))
+    w, V = eigsh(K, k=sys.m, M=sys.full_mass(), sigma=0.0, which="LM", tol=0,
+                 v0=np.ones(K.shape[0]))
     return w, V[:n_H], V[n_H:]
-
-
-def select_eigenpairs(lambdas, u_H, xi, sys, m):
-    """Pick one bordered eigenpair per tracked slot.
-
-    Slot j scores candidate i by the normalized a-projection of the
-    candidate onto u~_j, evaluated in bordered coordinates:
-    |a(v_i, u~_j)| / (||v_i||_a ||u~_j||_a). Greedy maximum over slots in
-    order, candidates without replacement, ties broken by the smaller
-    eigenvalue index.
-    """
-    n_cand = len(lambdas)
-    if n_cand < m:
-        raise LinalgError(f"need at least {m} bordered eigenpairs, got {n_cand}")
-    # a(v_i, u~_j) in bordered coordinates; B-orthonormal candidates have
-    # ||v_i||_a^2 = lambda_i.
-    inner = sys.a_h.T @ u_H + sys.alpha.T @ xi      # (m, n_cand)
-    v_norms = np.sqrt(np.maximum(np.abs(lambdas), 1e-300))
-    u_norms = np.sqrt(np.maximum(np.diag(sys.alpha), 1e-300))
-    scores = np.abs(inner) / (u_norms[:, None] * v_norms[None, :])
-
-    selected = []
-    used = np.zeros(n_cand, dtype=bool)
-    for j in range(m):
-        s = np.where(used, -np.inf, scores[j])
-        best = int(np.argmax(s))  # argmax takes the first (smallest index) on ties
-        if s[best] < 1e-12:
-            raise LinalgError(f"lost eigenvector for slot {j}: all border scores vanish")
-        selected.append(best)
-        used[best] = True
-    return selected
 
 
 def reassemble_fine(u_H, xi, P, u_tilde, A_h):
@@ -108,22 +78,21 @@ def reassemble_fine(u_H, xi, P, u_tilde, A_h):
 def aug_subspace_step(level, state: EigenState, theta) -> EigenState:
     """One full augmented subspace iteration on a fine level.
 
-    correction solve -> border assembly -> bordered eigenproblem ->
-    selection -> fine reassembly. ``level`` is the level's LevelData: its
-    matrices, PCG preconditioner and cross assembler (which holds the
-    transfer), none of them mutated. The new state carries the correction
-    solves' reports, one per slot of the input state.
+    correction solve -> border assembly -> bordered eigenproblem -> fine
+    reassembly: a Rayleigh-Ritz step on V_H + span{u~_1 ... u~_m} that
+    keeps its m lowest Ritz pairs, in ascending order. ``level`` is the
+    level's LevelData: its matrices, PCG preconditioner and cross
+    assembler (which holds the transfer), none of them mutated. The new
+    state carries the correction solves' reports, one per slot of the
+    input state.
     """
     A_h, assembler = level.A_h, level.assembler
     U, reports = correction_solve(A_h, level.B_h, state, theta, level.precond)
-    sys = assembler.assemble(U)
-    lambdas, u_H, xi = solve_bordered(sys)
-    selected = select_eigenpairs(lambdas, u_H, xi, sys, state.m)
-
-    order = sorted(selected, key=lambda i: lambdas[i])
-    vectors = [reassemble_fine(u_H[:, i], xi[:, i], assembler.P, U, A_h) for i in order]
+    lambdas, u_H, xi = solve_bordered(assembler.assemble(U))
+    vectors = [reassemble_fine(u_H[:, j], xi[:, j], assembler.P, U, A_h)
+               for j in range(state.m)]
     return EigenState(
-        lambdas=lambdas[order],
+        lambdas=lambdas,
         vectors=np.column_stack(vectors),
         iteration=state.iteration + 1,
         reports=reports,

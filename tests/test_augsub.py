@@ -1,4 +1,4 @@
-"""One augmented subspace iteration: correction, selection, reassembly."""
+"""One augmented subspace iteration: correction, bordered solve, reassembly."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from augeig.augsub import (
     EigenState,
     aug_subspace_step,
     correction_solve,
-    select_eigenpairs,
     solve_bordered,
 )
 from augeig.errors import ConvergenceError, LinalgError
@@ -24,8 +23,9 @@ from augeig.fem import (
 )
 from augeig.harness import measure_errors
 from augeig.linalg import a_normalize, dense_sym_gen_eig, pcg_solve, reference_eigensolve
+from augeig.multilevel import LevelPlan, build_hierarchy
 
-from conftest import fitted_mesh, sgs
+from conftest import eigsh_reference, fitted_mesh, sgs
 
 
 def _block_error(vectors, ref, clusters, A_h):
@@ -125,31 +125,33 @@ def _decoupled_system():
     )
 
 
-def test_select_on_decoupled_system():
+def test_solve_bordered_on_decoupled_system():
     sys = _decoupled_system()
     lambdas, u_H, xi = solve_bordered(sys)
     # The spectrum is [2, 5, 10, 20]; solve_bordered returns the lowest
-    # min(2m, N - 1) = 3 pairs.
-    assert np.allclose(lambdas, [2.0, 5.0, 10.0], atol=1e-12)
-    selected = select_eigenpairs(lambdas, u_H, xi, sys, 2)
-    # Slot 0 tracks the border function with eigenvalue 2, slot 1 the one with 5.
-    assert selected == [0, 1]
-    assert abs(abs(xi[0, selected[0]]) - np.sqrt(2.0)) < 1e-12
-    assert abs(abs(xi[1, selected[1]]) - np.sqrt(5.0)) < 1e-12
+    # m = 2 pairs, which are the two border functions.
+    assert len(lambdas) == sys.m == 2
+    assert np.allclose(lambdas, [2.0, 5.0], atol=1e-12)
+    assert abs(abs(xi[0, 0]) - np.sqrt(2.0)) < 1e-12
+    assert abs(abs(xi[1, 1]) - np.sqrt(5.0)) < 1e-12
 
 
-def test_select_needs_enough_candidates():
-    sys = _decoupled_system()
-    lambdas, u_H, xi = solve_bordered(sys)
-    with pytest.raises(LinalgError):
-        select_eigenpairs(lambdas, u_H, xi, sys, 5)
+def test_lowest_m_recovers_missed_pair(ex1):
+    """A start state that misses lambda_2 reaches it.
 
-
-def test_select_vanishing_scores_raise():
-    sys = _decoupled_system()
-    lambdas, u_H, xi = solve_bordered(sys)
-    with pytest.raises(LinalgError, match="slot"):
-        select_eigenpairs(lambdas, u_H, np.zeros_like(xi), sys, 2)
+    The start holds the fine pairs 1 and 3. The Rayleigh-Ritz step keeps
+    the lowest m Ritz pairs, and V_H resolves the second eigenfunction,
+    so slot 2 moves from lambda_3 down to lambda_2.
+    """
+    plan = LevelPlan(coarse_h=2 / 17, h1=2 / 19, n_levels=1, nev=2)
+    level = build_hierarchy(plan, ex1.domain, ex1.circles, ex1.coefficient()).levels[0]
+    lams, vecs = eigsh_reference(level.A_h, level.B_h, 3)
+    state = EigenState(lambdas=lams[[0, 2]], vectors=vecs[:, [0, 2]])
+    state = aug_subspace_step(level, state, theta=0.1)
+    assert state.lambdas[1] < lams[2]
+    for _ in range(2):
+        state = aug_subspace_step(level, state, theta=0.1)
+    assert abs(state.lambdas[1] - lams[1]) <= 1e-8 * lams[1]
 
 
 @pytest.fixture(scope="module", params=["galerkin", "exact"])
@@ -175,19 +177,13 @@ def ex1_bordered(request, ex1):
 def test_solve_bordered_matches_dense_oracle(ex1_bordered):
     sys = ex1_bordered
     lambdas, u_H, xi = solve_bordered(sys)
-    k = len(lambdas)
-    assert k == 2 * sys.m
+    m = sys.m
+    assert len(lambdas) == m
     M = sys.full_mass().toarray()
-    w, V = dense_sym_gen_eig(sys.full_stiffness().toarray(), M)
-    assert (np.abs(lambdas - w[:k]) <= 1e-12 * np.abs(w[:k])).all()
+    w, _ = dense_sym_gen_eig(sys.full_stiffness().toarray(), M)
+    assert (np.abs(lambdas - w[:m]) <= 1e-12 * np.abs(w[:m])).all()
     X = np.vstack([u_H, xi])
-    assert np.abs(X.T @ M @ X - np.eye(k)).max() <= 1e-12
-    # Selection over the whole dense spectrum picks the same candidates,
-    # so the lowest k hold every pair selection reaches.
-    n_H = sys.A_H.shape[0]
-    selected = select_eigenpairs(lambdas, u_H, xi, sys, sys.m)
-    assert selected == select_eigenpairs(w, V[:n_H], V[n_H:], sys, sys.m)
-    assert k - 1 not in selected
+    assert np.abs(X.T @ M @ X - np.eye(m)).max() <= 1e-12
 
 
 def test_solve_bordered_is_repeatable(ex1_bordered):
