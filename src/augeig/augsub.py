@@ -3,7 +3,9 @@
 Fine-mesh linear correction with a contraction-controlled PCG solve, the
 small bordered eigenproblem on the coarse space plus the corrected fine
 functions, whose m lowest Ritz pairs are kept, and reassembly of the
-fine-space iterates.
+fine-space iterates. The Ritz pairs depend only on the span of the
+corrections, so they enter the bordered problem as PCG returns them; the
+border assembly rejects a block whose columns are not independent.
 """
 
 from dataclasses import dataclass, field
@@ -11,9 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import eigsh
 
-from .errors import LinalgError
 # dense_sym_gen_eig is not called here; perfbench/spans.py hooks it by this name.
-from .linalg import SparseMatrix, a_norm, a_normalize, dense_sym_gen_eig, pcg_solve  # noqa: F401
+from .linalg import SparseMatrix, a_normalize, dense_sym_gen_eig, pcg_solve  # noqa: F401
 
 
 @dataclass
@@ -26,32 +27,17 @@ class EigenState:
     reports: list = None  # per-slot SolveReport of the step that made this state
     records: list = field(default_factory=list)  # StepRecord per multilevel_solve step
 
-    @property
-    def m(self):
-        return len(self.lambdas)
-
 
 def correction_solve(A_h: SparseMatrix, B_h: SparseMatrix, state: EigenState,
                      theta, M):
-    """Solve A u~ = lambda B u for each tracked pair, then a-orthonormalize.
+    """Solve A u~ = lambda B u for each tracked pair.
 
     One block PCG over the m slots, preconditioned by M (built for A_h);
     each slot starts from its current iterate and must contract its
-    A-norm error by at least theta. Returns (U_tilde, reports).
+    A-norm error by at least theta. Returns pcg_solve's (U_tilde, reports).
     """
-    U, reports = pcg_solve(A_h, (B_h.csr @ state.vectors) * state.lambdas,
-                           state.vectors, theta, M)
-
-    # Modified Gram-Schmidt in the A inner product.
-    for j in range(state.m):
-        v = U[:, j]
-        for i in range(j):
-            v = v - (U[:, i] @ (A_h.csr @ v)) * U[:, i]
-        nrm = a_norm(A_h, v)
-        if nrm < 1e-12:
-            raise LinalgError(f"degenerate correction: vector {j} vanished")
-        U[:, j] = v / nrm
-    return U, reports
+    return pcg_solve(A_h, (B_h.csr @ state.vectors) * state.lambdas,
+                     state.vectors, theta, M)
 
 
 def solve_bordered(sys):
@@ -69,10 +55,9 @@ def solve_bordered(sys):
     return w, V[:n_H], V[n_H:]
 
 
-def reassemble_fine(u_H, xi, P, u_tilde, A_h):
-    """Fine vector P u_H + U~ xi, a-normalized with the sign convention."""
-    v = P @ u_H + u_tilde @ xi
-    return a_normalize(A_h, v)
+def reassemble_fine(u_H, xi, P, U, A_h):
+    """Fine block P u_H + U xi, each column a-normalized with the sign convention."""
+    return a_normalize(A_h, P @ u_H + U @ xi)
 
 
 def aug_subspace_step(level, state: EigenState, theta) -> EigenState:
@@ -89,11 +74,9 @@ def aug_subspace_step(level, state: EigenState, theta) -> EigenState:
     A_h, assembler = level.A_h, level.assembler
     U, reports = correction_solve(A_h, level.B_h, state, theta, level.precond)
     lambdas, u_H, xi = solve_bordered(assembler.assemble(U))
-    vectors = [reassemble_fine(u_H[:, j], xi[:, j], assembler.P, U, A_h)
-               for j in range(state.m)]
     return EigenState(
         lambdas=lambdas,
-        vectors=np.column_stack(vectors),
+        vectors=reassemble_fine(u_H, xi, assembler.P, U, A_h),
         iteration=state.iteration + 1,
         reports=reports,
     )

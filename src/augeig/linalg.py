@@ -229,15 +229,17 @@ def a_norm(A: SparseMatrix, v):
     return np.sqrt(max(q, 0.0))
 
 
-def a_normalize(A: SparseMatrix, v):
-    """Scale v to v^T A v = 1 with the largest-magnitude entry positive."""
-    nrm = a_norm(A, v)
-    if nrm == 0:
-        raise LinalgError("cannot a-normalize the zero vector")
-    v = v / nrm
-    if v[np.argmax(np.abs(v))] < 0:
-        v = -v
-    return v
+def a_normalize(A: SparseMatrix, V):
+    """Scale each column v of the (n, k) block V to v^T A v = 1, with its
+    largest-magnitude entry positive (on a tie, the positive one); one SpMM
+    for the block. Rejects radicands below -1e-14 and zero columns."""
+    V = np.asarray(V, dtype=float)
+    q = np.einsum("ij,ij->j", V, A.csr @ V)
+    if (q < -1e-14).any():
+        raise LinalgError(f"negative radicand {q.min():g}: matrix is not SPD")
+    if (q <= 0).any():
+        raise LinalgError(f"cannot a-normalize the zero vector (column {np.argmax(q <= 0)})")
+    return V * (np.where(-V.min(axis=0) > V.max(axis=0), -1.0, 1.0) / np.sqrt(q))
 
 
 def check_pair_count(nev, n):
@@ -291,8 +293,7 @@ def reference_eigensolve(A: SparseMatrix, B: SparseMatrix, nev, tol, M, seed=0):
         dlam = np.abs(lam[:nev] - prev) / np.maximum(1.0, np.abs(lam[:nev]))
         prev = lam[:nev].copy()
         if sweep > 0 and (dlam < tol).all() and (res_rel < tol).all():
-            vecs = [a_normalize(A, X[:, i]) for i in range(nev)]
-            return np.array(lam[:nev]), np.column_stack(vecs)
+            return np.array(lam[:nev]), a_normalize(A, X[:, :nev])
 
         # Inverse iteration sweep: X <- A^{-1} B X, warm-started at X/lam,
         # one block solve over the columns not yet effectively converged.

@@ -150,8 +150,8 @@ def coarsest_solve(level1: LevelData, nev, tol=1e-11, seed=0) -> EigenState:
     lams, vecs = eigsh(A.csr, k=nev, M=B.csr, sigma=0.0, which="LM", OPinv=a_inv,
                        tol=tol, v0=v0)
     order = np.argsort(lams)
-    vectors = np.column_stack([a_normalize(A, vecs[:, j]) for j in order])
-    return EigenState(lambdas=lams[order], vectors=vectors, iteration=0)
+    return EigenState(lambdas=lams[order], vectors=a_normalize(A, vecs[:, order]),
+                      iteration=0)
 
 
 def multilevel_solve(hierarchy: Hierarchy, plan: LevelPlan, coarse_tol=1e-11,
@@ -172,9 +172,7 @@ def multilevel_solve(hierarchy: Hierarchy, plan: LevelPlan, coarse_tol=1e-11,
                           seconds=time.perf_counter() - t0)]
 
     for k, level in enumerate(hierarchy.levels[1:], start=2):
-        vectors = level.transfer_prev @ state.vectors
-        for j in range(vectors.shape[1]):
-            vectors[:, j] = a_normalize(level.A_h, vectors[:, j])
+        vectors = a_normalize(level.A_h, level.transfer_prev @ state.vectors)
         state = EigenState(lambdas=state.lambdas.copy(), vectors=vectors, iteration=0)
         error_fn = error_fns[k - 1] if error_fns is not None else None
         for ell in range(plan.L):

@@ -34,7 +34,7 @@ def eigsh_reference(A, B, nev):
     """
     lams, vecs = eigsh(A.csr, k=nev, M=B.csr, sigma=0, which="LM", v0=np.ones(A.n))
     order = np.argsort(lams)
-    return lams[order], np.column_stack([a_normalize(A, vecs[:, j]) for j in order])
+    return lams[order], a_normalize(A, vecs[:, order])
 
 
 def local_stiffness(tri_coords, k=1.0):
@@ -145,7 +145,5 @@ def square_initial_state(square_pair):
     A_H = assemble_stiffness(sp["coarse"], sp["coeff"])
     B_H = assemble_mass(sp["coarse"])
     lams, vecs = reference_eigensolve(A_H, B_H, 3, 1e-11, sgs(A_H))
-    V = sp["P"] @ vecs
-    for j in range(V.shape[1]):
-        V[:, j] = a_normalize(sp["A_h"], V[:, j])
+    V = a_normalize(sp["A_h"], sp["P"] @ vecs)
     return EigenState(lambdas=lams.copy(), vectors=V, iteration=0)

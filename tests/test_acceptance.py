@@ -62,9 +62,7 @@ def _contraction_study(ex, coarse_h, fine_h, steps, floor, nev=4):
     A_H = assemble_stiffness(hier.coarse_space, coeff)
     cl, cv = reference_eigensolve(A_H, assemble_mass(hier.coarse_space), nev, 1e-12,
                                   sgs(A_H))
-    V = lev.assembler.P @ cv
-    for j in range(nev):
-        V[:, j] = a_normalize(lev.A_h, V[:, j])
+    V = a_normalize(lev.A_h, lev.assembler.P @ cv)
     state = EigenState(lambdas=cl.copy(), vectors=V, iteration=0)
 
     block = [float(np.linalg.norm(err(state.vectors)))]
@@ -193,7 +191,7 @@ def test_criterion_7_kernel_oracles():
     for j in range(2):
         for i in range(j):
             U[:, j] -= (U[:, i] @ (A_h.csr @ U[:, j])) * U[:, i]
-        U[:, j] = a_normalize(A_h, U[:, j])
+        U[:, [j]] = a_normalize(A_h, U[:, [j]])
     B_h, P = assemble_mass(fine), build_transfer(coarse, fine)
     sys_g, sys_e = (CrossAssembler(coarse, fine, coeff, A_h, B_h, P, mode).assemble(U)
                     for mode in ("galerkin", "exact"))

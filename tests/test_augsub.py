@@ -10,6 +10,7 @@ from augeig.augsub import (
     EigenState,
     aug_subspace_step,
     correction_solve,
+    reassemble_fine,
     solve_bordered,
 )
 from augeig.errors import ConvergenceError, LinalgError
@@ -79,23 +80,16 @@ def test_step_does_not_mutate_inputs(square_pair, square_initial_state):
     assert np.array_equal(square_initial_state.lambdas, lams_before)
 
 
-def test_correction_solve_orthonormalizes(square_pair, square_initial_state):
-    A_h = square_pair["A_h"]
-    U, _ = correction_solve(A_h, square_pair["B_h"], square_initial_state,
-                            theta=0.1, M=square_pair["level"].precond)
-    G = U.T @ (A_h.csr @ U)
-    assert np.allclose(G, np.eye(3), atol=1e-10)
-
-
-def test_correction_degenerate_guard(square_pair, square_initial_state):
+def test_step_rejects_duplicated_slot(square_pair, square_initial_state):
+    # Two equal slots give two equal corrections; the border assembly's
+    # Schur-complement check is the step's one independence check.
     st = square_initial_state
     dup = EigenState(
         lambdas=np.array([st.lambdas[0], st.lambdas[0]]),
         vectors=np.column_stack([st.vectors[:, 0], st.vectors[:, 0]]),
     )
-    with pytest.raises(LinalgError, match="degenerate"):
-        correction_solve(square_pair["A_h"], square_pair["B_h"], dup, theta=0.1,
-                         M=square_pair["level"].precond)
+    with pytest.raises(LinalgError, match="bordered mass matrix is not SPD"):
+        aug_subspace_step(square_pair["level"], dup, theta=0.1)
 
 
 def test_correction_breakdown_raises(square_pair, square_initial_state, monkeypatch):
@@ -113,7 +107,7 @@ def test_correction_breakdown_raises(square_pair, square_initial_state, monkeypa
     with pytest.raises(ConvergenceError, match=r"PCG column \d+ stopped at its cap of 1 "):
         correction_solve(square_pair["A_h"], square_pair["B_h"], square_initial_state,
                          theta=0.1, M=square_pair["level"].precond)
-    assert calls == [(square_pair["A_h"].n, square_initial_state.m)]
+    assert calls == [(square_pair["A_h"].n, len(square_initial_state.lambdas))]
 
 
 def _decoupled_system():
@@ -155,11 +149,12 @@ def test_lowest_m_recovers_missed_pair(ex1):
 
 
 @pytest.fixture(scope="module", params=["galerkin", "exact"])
-def ex1_bordered(request, ex1):
-    """The bordered system of a first step on the nonnested pair 2/17 -> 2/19.
+def ex1_border(request, ex1):
+    """(cross assembler, augmenting block U) of a first step on the
+    nonnested pair 2/17 -> 2/19.
 
-    The augmenting block is one correction of the interpolated coarse
-    eigenvectors, as aug_subspace_step builds it.
+    U is one correction of the interpolated coarse eigenvectors, as
+    aug_subspace_step builds it.
     """
     coeff = ex1.coefficient()
     coarse = build_space(fitted_mesh(ex1, 2 / 17))
@@ -168,10 +163,16 @@ def ex1_bordered(request, ex1):
     P = build_transfer(coarse, fine)
     A_H = assemble_stiffness(coarse, coeff)
     lams, vecs = reference_eigensolve(A_H, assemble_mass(coarse), 4, 1e-11, sgs(A_H))
-    state = EigenState(lambdas=lams,
-                       vectors=np.column_stack([a_normalize(A_h, v) for v in (P @ vecs).T]))
+    state = EigenState(lambdas=lams, vectors=a_normalize(A_h, P @ vecs))
     U, _ = correction_solve(A_h, B_h, state, theta=0.1, M=sgs(A_h))
-    return CrossAssembler(coarse, fine, coeff, A_h, B_h, P, request.param).assemble(U)
+    return CrossAssembler(coarse, fine, coeff, A_h, B_h, P, request.param), U
+
+
+@pytest.fixture(scope="module")
+def ex1_bordered(ex1_border):
+    """The bordered system of that first step."""
+    assembler, U = ex1_border
+    return assembler.assemble(U)
 
 
 def test_solve_bordered_matches_dense_oracle(ex1_bordered):
@@ -191,3 +192,21 @@ def test_solve_bordered_is_repeatable(ex1_bordered):
     second = solve_bordered(ex1_bordered)
     for a, b in zip(first, second):
         assert np.array_equal(a, b)
+
+
+def test_rayleigh_ritz_is_basis_invariant(ex1_border):
+    """The step's Ritz pairs depend on span(U) only, so the corrections
+    need no A-orthonormal basis: U R, for a fixed R of condition number
+    10, gives the same eigenvalues and the same reassembled block."""
+    assembler, U = ex1_border
+    m = U.shape[1]
+    rng = np.random.default_rng(3)
+    Q1, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    R = Q1 @ np.diag(np.geomspace(1.0, 10.0, m)) @ Q2
+    out = {}
+    for name, block in (("U", U), ("UR", U @ R)):
+        lambdas, u_H, xi = solve_bordered(assembler.assemble(block))
+        out[name] = lambdas, reassemble_fine(u_H, xi, assembler.P, block, assembler.A_h)
+    assert (np.abs(out["UR"][0] - out["U"][0]) <= 1e-12 * out["U"][0]).all()
+    assert np.abs(out["UR"][1] - out["U"][1]).max() <= 1e-10

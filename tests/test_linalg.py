@@ -349,20 +349,24 @@ def test_dense_eig_charpoly_oracle():
 # -- normalization ---------------------------------------------------------
 
 def test_a_normalize():
+    # A block with one negative-leading column: each column is scaled on
+    # its own and its largest-magnitude entry made positive.
     A = laplacian_1d(10)
-    v = -np.linspace(1, 2, 10)
-    u = a_normalize(A, v)
-    assert abs(u @ (A.csr @ u) - 1.0) < 1e-12
-    assert u[np.argmax(np.abs(u))] > 0
-    with pytest.raises(LinalgError):
-        a_normalize(A, np.zeros(10))
+    V = np.column_stack([-np.linspace(1, 2, 10), np.sin(np.arange(10.0))])
+    U = a_normalize(A, V)
+    assert np.abs(np.diag(U.T @ (A.csr @ U)) - 1.0).max() < 1e-12
+    assert (U[np.argmax(np.abs(U), axis=0), [0, 1]] > 0).all()
+    norms = np.sqrt(np.diag(V.T @ (A.csr @ V)))
+    assert np.abs(U - V / norms * [-1.0, 1.0]).max() < 1e-14
+    with pytest.raises(LinalgError, match="zero vector"):
+        a_normalize(A, np.column_stack([V[:, 0], np.zeros(10)]))
 
 
 def test_a_normalize_rejects_indefinite():
     # v^T A v = -1: the energy norm is undefined, so no NaN vector comes back.
     A = SparseMatrix(sp.csr_matrix(np.diag([1.0, -1.0])))
     with pytest.raises(LinalgError, match="negative radicand"):
-        a_normalize(A, np.array([0.0, 1.0]))
+        a_normalize(A, np.array([[0.0], [1.0]]))
 
 
 # -- reference eigensolver -------------------------------------------------

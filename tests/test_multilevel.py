@@ -97,7 +97,7 @@ def ex1_ladder():
 
     def recording_pcg(A, RHS, X0, theta, M):
         X, reports = linalg.pcg_solve(A, RHS, X0, theta, M)
-        # correction_solve a-orthonormalizes X in place after the solve
+        # correction_solve hands X on as pcg_solve returned it
         systems.append((A, RHS, X0.copy(), theta, X.copy()))
         return X, reports
 
