@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import LinalgError
+from .errors import GeometryError, LinalgError
 from .linalg import SparseMatrix
 from .mesh import Locator, Mesh, barycentric, locate_many, locate_point
 
@@ -80,7 +80,7 @@ class BorderedSystem:
 def build_space(mesh: Mesh) -> FeSpace:
     free = np.flatnonzero(~mesh.boundary_node)
     if len(free) == 0:
-        raise LinalgError("mesh has no interior nodes")
+        raise GeometryError("mesh has no interior nodes")
     node_to_dof = np.full(mesh.n_nodes, -1, dtype=np.int64)
     node_to_dof[free] = np.arange(len(free))
     return FeSpace(mesh=mesh, free_nodes=free, node_to_dof=node_to_dof)

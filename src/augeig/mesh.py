@@ -191,6 +191,13 @@ def _unique_edges(edges, n_nodes):
     return np.column_stack([keys // n_nodes, keys % n_nodes])
 
 
+def _project(points, circle):
+    """Radial projection of points (..., 2) onto the circle."""
+    c = np.asarray(circle.center)
+    q = points - c
+    return c + q * (circle.radius / np.hypot(q[..., 0], q[..., 1]))[..., None]
+
+
 def fit_interfaces(mesh: Mesh, circles) -> Mesh:
     """Radially project nodes near each circle onto it.
 
@@ -207,69 +214,39 @@ def fit_interfaces(mesh: Mesh, circles) -> Mesh:
         return mesh
     _check_circles(mesh, circles)
     half = _half_edges(mesh.triangles)
+    # Node v lies in triangles corner[first[v]:first[v + 1]] // 3.
+    corner = np.argsort(mesh.triangles, axis=None, kind="stable")
+    first = np.searchsorted(mesh.triangles.ravel()[corner], np.arange(mesh.n_nodes + 1))
 
-    frac = SNAP_FRACTION
-    cap_scale = 1.0
-    for _attempt in range(5):
+    for attempt in range(5):
+        scale = 0.5 ** attempt
+        band = SNAP_FRACTION * scale * mesh.h_max
+        move_cap = scale * mesh.h_max
         nodes = mesh.nodes.copy()
-        band = frac * mesh.h_max
-        move_cap = cap_scale * mesh.h_max
         for circle in circles:
-            cx, cy = circle.center
-            dx = nodes[:, 0] - cx
-            dy = nodes[:, 1] - cy
-            dist = np.hypot(dx, dy)
-            near = (np.abs(dist - circle.radius) <= band) & ~mesh.boundary_node & (dist > 0)
-            scale = circle.radius / dist[near]
-            nodes[near, 0] = cx + dx[near] * scale
-            nodes[near, 1] = cy + dy[near] * scale
+            # band < h_max < radius, so no node in the band sits at the centre.
+            near = (np.abs(circle.signed_distance(nodes)) <= band) & ~mesh.boundary_node
+            nodes[near] = _project(nodes[near], circle)
         for circle in circles:
-            cx, cy = circle.center
-            d = np.hypot(nodes[:, 0] - cx, nodes[:, 1] - cy) - circle.radius
+            d = circle.signed_distance(nodes)
             crossing = _unique_edges(half[d[half[:, 0]] * d[half[:, 1]] < 0], mesh.n_nodes)
-            if len(crossing) == 0:
-                continue
-            # Incidence map for the nodes involved, to veto snaps that
-            # would put all three vertices of a triangle on the circle
-            # (such inscribed triangles are nearly flat for small arcs).
-            cand = np.unique(crossing)
-            tri_mask = np.isin(mesh.triangles, cand).any(axis=1)
-            incident = {}
-            for tri in mesh.triangles[tri_mask]:
-                for v in tri:
-                    incident.setdefault(int(v), []).append(tri)
-
-            def flattens(node):
-                for tri in incident.get(int(node), []):
-                    if all(abs(d[v]) < 1e-12 for v in tri if v != node):
-                        return True
-                return False
-
             for a, b in crossing:
                 if d[a] * d[b] >= 0:  # resolved by an earlier snap
                     continue
                 pick, other = (a, b) if abs(d[a]) <= abs(d[b]) else (b, a)
                 for node in (pick, other):
-                    if (mesh.boundary_node[node] or abs(d[node]) > move_cap
-                            or flattens(node)):
+                    # Veto a snap that would put all three vertices of a
+                    # triangle on the circle (nearly flat for small arcs).
+                    tris = mesh.triangles[corner[first[node]:first[node + 1]] // 3]
+                    flattens = ((np.abs(d[tris]) < 1e-12) | (tris == node)).all(axis=1).any()
+                    if mesh.boundary_node[node] or abs(d[node]) > move_cap or flattens:
                         continue
-                    r = np.hypot(nodes[node, 0] - cx, nodes[node, 1] - cy)
-                    scale = circle.radius / r
-                    nodes[node, 0] = cx + (nodes[node, 0] - cx) * scale
-                    nodes[node, 1] = cy + (nodes[node, 1] - cy) * scale
+                    nodes[node] = _project(nodes[node], circle)
                     d[node] = 0.0
                     break
-        candidate = Mesh(
-            nodes=nodes,
-            triangles=mesh.triangles,
-            region_tag=mesh.region_tag.copy(),
-            boundary_node=mesh.boundary_node.copy(),
-            h_max=_compute_h_max(nodes, mesh.triangles),
-        )
+        candidate = replace(mesh, nodes=nodes, h_max=_compute_h_max(nodes, mesh.triangles))
         if candidate.signed_areas().min() > 0:
             return candidate
-        frac /= 2.0
-        cap_scale /= 2.0
     raise GeometryError("interface snapping inverted triangles even after 4 retries")
 
 

@@ -71,6 +71,78 @@ def sgs(A):
     return SimpleNamespace(apply=apply, lmin=lmin, lmax=lmax)
 
 
+def fit_interfaces_oracle(m, circles):
+    """Oracle: the loop-per-triangle interface fit that mesh.fit_interfaces
+    replaced, snap for snap. Returns (fitted mesh, fit passes taken).
+
+    Its crossing edges come from np.unique over the sorted half-edges,
+    which is what mesh._unique_edges computes (test_mesh checks that).
+    """
+    mesh._check_circles(m, circles)
+    half = np.sort(np.concatenate(
+        [m.triangles[:, [0, 1]], m.triangles[:, [1, 2]], m.triangles[:, [2, 0]]]), axis=1)
+    frac = mesh.SNAP_FRACTION
+    cap_scale = 1.0
+    for attempt in range(5):
+        nodes = m.nodes.copy()
+        band = frac * m.h_max
+        move_cap = cap_scale * m.h_max
+        for circle in circles:
+            cx, cy = circle.center
+            dx = nodes[:, 0] - cx
+            dy = nodes[:, 1] - cy
+            dist = np.hypot(dx, dy)
+            near = (np.abs(dist - circle.radius) <= band) & ~m.boundary_node & (dist > 0)
+            scale = circle.radius / dist[near]
+            nodes[near, 0] = cx + dx[near] * scale
+            nodes[near, 1] = cy + dy[near] * scale
+        for circle in circles:
+            cx, cy = circle.center
+            d = np.hypot(nodes[:, 0] - cx, nodes[:, 1] - cy) - circle.radius
+            crossing = np.unique(half[d[half[:, 0]] * d[half[:, 1]] < 0], axis=0)
+            if len(crossing) == 0:
+                continue
+            cand = np.unique(crossing)
+            tri_mask = np.isin(m.triangles, cand).any(axis=1)
+            incident = {}
+            for tri in m.triangles[tri_mask]:
+                for v in tri:
+                    incident.setdefault(int(v), []).append(tri)
+
+            def flattens(node):
+                for tri in incident.get(int(node), []):
+                    if all(abs(d[v]) < 1e-12 for v in tri if v != node):
+                        return True
+                return False
+
+            for a, b in crossing:
+                if d[a] * d[b] >= 0:
+                    continue
+                pick, other = (a, b) if abs(d[a]) <= abs(d[b]) else (b, a)
+                for node in (pick, other):
+                    if (m.boundary_node[node] or abs(d[node]) > move_cap
+                            or flattens(node)):
+                        continue
+                    r = np.hypot(nodes[node, 0] - cx, nodes[node, 1] - cy)
+                    scale = circle.radius / r
+                    nodes[node, 0] = cx + (nodes[node, 0] - cx) * scale
+                    nodes[node, 1] = cy + (nodes[node, 1] - cy) * scale
+                    d[node] = 0.0
+                    break
+        candidate = mesh.Mesh(
+            nodes=nodes,
+            triangles=m.triangles,
+            region_tag=m.region_tag.copy(),
+            boundary_node=m.boundary_node.copy(),
+            h_max=mesh._compute_h_max(nodes, m.triangles),
+        )
+        if candidate.signed_areas().min() > 0:
+            return candidate, attempt + 1
+        frac /= 2.0
+        cap_scale /= 2.0
+    raise AssertionError("the oracle inverted triangles after 4 retries")
+
+
 def full_scan_locate(m, points):
     """Point location by a full scan, as an oracle for the grid locator.
 

@@ -61,6 +61,16 @@ def test_malformed_config_is_usage_error(tmp_path, capsys, lines):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_mesh_without_interior_nodes_is_usage_error(tmp_path, capsys):
+    # coarse_h = 2 makes a one-cell mesh on (0,2)^2: every node is on the boundary.
+    cfg = write(tmp_path, (
+        f"example = unit_square\ncoarse_h = 2.0\nh1 = 0.5\nnev = 1\nout_dir = {tmp_path}\n"
+    ))
+    assert main(["solve", "--config", cfg]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no interior nodes" in err
+
+
 def test_negative_seed_override_is_usage_error(tmp_path, capsys):
     cfg = write(tmp_path, (
         f"example = unit_square\ncoarse_h = 0.5\nh1 = 0.25\nout_dir = {tmp_path}\n"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from augeig.errors import GeometryError
+from augeig.harness import example1, example2
 from augeig.mesh import (
     Circle,
     Locator,
@@ -21,7 +22,7 @@ from augeig.mesh import (
     locate_point,
 )
 
-from conftest import fitted_mesh, full_scan_locate
+from conftest import fit_interfaces_oracle, fitted_mesh, full_scan_locate
 
 
 # -- structured generation -------------------------------------------------
@@ -146,6 +147,31 @@ def test_fit_never_flattens_a_triangle(ex1):
         for c in ex1.circles:
             on = np.abs(c.signed_distance(fitted.nodes)) < 1e-12
             assert not on[fitted.triangles].all(axis=1).any()
+
+
+_SQUARE = Rect(0.0, 0.0, 2.0, 2.0)
+_THREE = [Circle((1.4365, 1.2618), 0.4363), Circle((1.8138, 1.7726), 0.1621),
+          Circle((0.2654, 0.601), 0.2469)]
+_FIT_CASES = {
+    f"{ex.name}-2/{k}": (ex.domain, ex.circles, 2 / k, 2)
+    for ex in (example1(), example2()) for k in (17, 38, 76)
+} | {
+    "one-circle-2/9": (_SQUARE, [Circle((1.0, 1.0), 0.5)], 2 / 9, 1),
+    "one-circle-2/15": (_SQUARE, [Circle((1.0, 1.0), 0.5)], 2 / 15, 2),
+    "three-circles-2/34": (_SQUARE, _THREE, 2 / 34, 3),
+}
+
+
+@pytest.mark.parametrize("domain, circles, h, passes", _FIT_CASES.values(), ids=_FIT_CASES)
+def test_fit_matches_oracle(domain, circles, h, passes):
+    """The fitted nodes and h_max equal the loop-per-triangle oracle's bit
+    for bit, on fits that take one, two and three passes."""
+    mesh = generate_structured_mesh(domain, h)
+    want, taken = fit_interfaces_oracle(mesh, circles)
+    assert taken == passes
+    got = fit_interfaces(mesh, circles)
+    assert np.array_equal(got.nodes, want.nodes)
+    assert got.h_max == want.h_max
 
 
 def test_unique_edges_matches_row_unique(ex1):

@@ -1,6 +1,7 @@
 """Hierarchy construction and the multilevel correction driver."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -91,8 +92,15 @@ def ex1_ladder():
     ex = example1()
     plan = LevelPlan(coarse_h=2 / 17, h1=4 / 35, beta=2.0, n_levels=4, L=2,
                      theta=0.1, nev=4)
-    hier = build_hierarchy(plan, ex.domain, ex.circles, ex.coefficient())
+    hier, state, systems = _recorded_solve(ex, plan)
     assert [lev.space.n_dof for lev in hier.levels] == [289, 1156, 4761, 19321]
+    return hier, plan, state, systems
+
+
+def _recorded_solve(ex, plan, seed=0):
+    """build_hierarchy and multilevel_solve, recording one (A, RHS, X0,
+    theta, X) per correction call, as pcg_solve saw and solved it."""
+    hier = build_hierarchy(plan, ex.domain, ex.circles, ex.coefficient())
     systems = []
 
     def recording_pcg(A, RHS, X0, theta, M):
@@ -103,8 +111,29 @@ def ex1_ladder():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(augsub, "pcg_solve", recording_pcg)
-        state = multilevel_solve(hier, plan, coarse_tol=1e-11)
-    return hier, plan, state, systems
+        state = multilevel_solve(hier, plan, coarse_tol=1e-11, seed=seed)
+    return hier, state, systems
+
+
+def _assert_contraction_holds(systems):
+    """The true A-norm error contraction of every recorded correction slot,
+    against a direct solve, is <= theta; returns the largest."""
+    worst = 0.0
+    for A, RHS, X0, theta, X in systems:
+        exact = spla.splu(A.csr.tocsc()).solve(RHS)
+        E0, E = X0 - exact, X - exact
+        ratio = np.sqrt(np.sum(E * (A.csr @ E), axis=0) / np.sum(E0 * (A.csr @ E0), axis=0))
+        worst = max(worst, ratio.max())
+        assert (ratio <= theta).all(), ratio
+    return worst
+
+
+def _worst_slot_iterations(state):
+    """The most PCG iterations of one correction slot, per level (by dofs)."""
+    worst = {}
+    for rec in state.records[1:]:
+        worst[rec.n_dof] = max(worst.get(rec.n_dof, 0), max(rec.pcg_iterations))
+    return worst
 
 
 def test_coarsest_solve_is_direct_and_matches_eigsh(ex1_ladder, monkeypatch):
@@ -158,9 +187,7 @@ def test_vcycle_iterations_are_mesh_independent(ex1_ladder):
     """The worst correction slot takes at most 6 PCG iterations on every
     level, from 1,156 to 19,321 dofs."""
     hier, plan, state, _ = ex1_ladder
-    worst = {}
-    for rec in state.records[1:]:
-        worst[rec.n_dof] = max(worst.get(rec.n_dof, 0), max(rec.pcg_iterations))
+    worst = _worst_slot_iterations(state)
     print(f"worst-slot PCG iterations per level: {worst}")
     assert sorted(worst) == [lev.space.n_dof for lev in hier.levels[1:]]
     assert max(worst.values()) <= 6
@@ -169,14 +196,24 @@ def test_vcycle_iterations_are_mesh_independent(ex1_ladder):
 def test_correction_contraction_holds(ex1_ladder):
     """On the warm-started correction systems of the run, the true A-norm
     error contraction against a direct solve is <= theta on every slot."""
-    worst = 0.0
-    for A, RHS, X0, theta, X in ex1_ladder[3]:
-        exact = spla.splu(A.csr.tocsc()).solve(RHS)
-        E0, E = X0 - exact, X - exact
-        ratio = np.sqrt(np.sum(E * (A.csr @ E), axis=0) / np.sum(E0 * (A.csr @ E0), axis=0))
-        worst = max(worst, ratio.max())
-        assert (ratio <= theta).all(), ratio
+    worst = _assert_contraction_holds(ex1_ladder[3])
     print(f"largest true A-norm contraction of a correction slot: {worst:.4f}")
+
+
+@pytest.mark.parametrize("make, K", [(example1, 1e3), (example2, 1e4)],
+                         ids=["example1-K1e3", "example2-K1e4"])
+def test_correction_contraction_holds_at_high_contrast(make, K):
+    """The same contract at coefficient contrast 1e3 and 1e4, where the
+    V-cycle is weakest: three levels to 5,625 dofs, nev = 4, L = 2."""
+    ex = make()
+    ex = replace(ex, circle_k=[K] * len(ex.circles))
+    plan = LevelPlan(coarse_h=2 / 17, h1=2 / 19, beta=2.0, n_levels=3, L=2,
+                     theta=0.1, nev=4)
+    hier, state, systems = _recorded_solve(ex, plan, seed=1)
+    assert hier.levels[-1].space.n_dof == 5625
+    worst = _assert_contraction_holds(systems)
+    print(f"K = {K:g}: largest true contraction {worst:.4f}; "
+          f"worst-slot PCG iterations per level: {_worst_slot_iterations(state)}")
 
 
 def test_multilevel_converges_to_finest_reference(square_hierarchy):
