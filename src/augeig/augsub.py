@@ -5,13 +5,16 @@ small bordered eigenproblem on the coarse space plus the corrected fine
 functions, whose m lowest Ritz pairs are kept, and reassembly of the
 fine-space iterates. The Ritz pairs depend only on the span of the
 corrections, so they enter the bordered problem as PCG returns them; the
-border assembly rejects a block whose columns are not independent.
+border assembly rejects a block whose columns are not independent. The
+bordered problem is shift-inverted on the level's one coarse factor, of
+A_H, by block elimination.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import eigsh
+from scipy.linalg import cho_factor, cho_solve
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 # dense_sym_gen_eig is not called here; perfbench/spans.py hooks it by this name.
 from .linalg import SparseMatrix, a_normalize, dense_sym_gen_eig, pcg_solve  # noqa: F401
@@ -40,18 +43,42 @@ def correction_solve(A_h: SparseMatrix, B_h: SparseMatrix, state: EigenState,
                      state.vectors, theta, M)
 
 
+def _bordered_operator(C, c, gamma):
+    """[[C, c], [c^T, gamma]] as an operator, never formed."""
+    n_H = C.shape[0]
+
+    def matvec(x):
+        f, g = x[:n_H], x[n_H:]
+        return np.concatenate([C @ f + c @ g, c.T @ f + gamma @ g])
+
+    n = n_H + gamma.shape[0]
+    return LinearOperator((n, n), matvec=matvec, dtype=float)
+
+
 def solve_bordered(sys):
     """The lowest sys.m bordered eigenpairs, ascending.
 
     These are the Ritz pairs that the augmented subspace step keeps.
-    Shift-invert Lanczos at shift 0 on the sparse pencil, so SuperLU
-    factors K (eigsh orders the pairs ascending); a fixed start vector
-    makes repeated calls bit-identical. Returns (lambdas, coarse parts
-    (N_H, m), border parts (m, m)), B-orthonormal.
+    Shift-invert Lanczos at shift 0 (eigsh orders the pairs ascending); a
+    fixed start vector makes repeated calls bit-identical. K^-1 is block
+    elimination on the system's A_H factor: z = A_H^-1 f, then
+    y = S_K^-1 (g - a_h^T z) by Cholesky, and x = z - Y y. M x comes from
+    the blocks, so no bordered matrix is formed or factored. Returns
+    (lambdas, coarse parts (N_H, m), border parts (m, m)), B-orthonormal.
     """
-    K, n_H = sys.full_stiffness(), sys.A_H.shape[0]
-    w, V = eigsh(K, k=sys.m, M=sys.full_mass(), sigma=0.0, which="LM", tol=0,
-                 v0=np.ones(K.shape[0]))
+    n_H, m = sys.A_H.shape[0], sys.m
+    S_K_chol = cho_factor(sys.S_K)
+
+    def k_inv(x):
+        z = sys.A_H_lu.solve(x[:n_H])
+        y = cho_solve(S_K_chol, x[n_H:] - sys.a_h.T @ z)
+        return np.concatenate([z - sys.Y @ y, y])
+
+    n = n_H + m
+    w, V = eigsh(_bordered_operator(sys.A_H, sys.a_h, sys.alpha), k=m,
+                 M=_bordered_operator(sys.B_H, sys.b_h, sys.beta), sigma=0.0, which="LM",
+                 OPinv=LinearOperator((n, n), matvec=k_inv, dtype=float), tol=0,
+                 v0=np.ones(n))
     return w, V[:n_H], V[n_H:]
 
 

@@ -15,8 +15,9 @@ from .errors import GeometryError, LinalgError
 from .linalg import SparseMatrix
 from .mesh import Locator, Mesh, barycentric, locate_many, locate_point
 
-# A step is rejected when lambda_min(beta - b_h^T B_H^-1 b_h) <= _SCHUR_TOL
-# * max diag(beta): healthy steps read 7e-7 or more, repeated columns 0.
+# A step is rejected when lambda_min(S_K) <= _SCHUR_TOL * max diag(alpha),
+# S_K = alpha - a_h^T A_H^-1 a_h: healthy steps read 2.4e-3 or more, repeated
+# columns 0.
 _SCHUR_TOL = 1e-10
 
 
@@ -57,7 +58,11 @@ class Coefficient:
 
 @dataclass
 class BorderedSystem:
-    """Blocks of the (N_H + m)-dimensional augmented eigensystem; A_H, B_H sparse."""
+    """Blocks of the (N_H + m)-dimensional augmented eigensystem
+    K = [[A_H, a_h], [a_h^T, alpha]], M = [[B_H, b_h], [b_h^T, beta]];
+    A_H, B_H sparse. A_H_lu factors A_H, Y = A_H^-1 a_h, and
+    S_K = alpha - a_h^T Y is K's m x m Schur complement.
+    """
 
     A_H: sp.csr_matrix
     a_h: np.ndarray
@@ -65,16 +70,32 @@ class BorderedSystem:
     B_H: sp.csr_matrix
     b_h: np.ndarray
     beta: np.ndarray
+    A_H_lu: object
+    Y: np.ndarray
+    S_K: np.ndarray
 
     @property
     def m(self):
         return self.alpha.shape[0]
 
-    def full_stiffness(self):
-        return sp.bmat([[self.A_H, self.a_h], [self.a_h.T, self.alpha]], format="csc")
+    @classmethod
+    def from_blocks(cls, A_H, a_h, alpha, B_H, b_h, beta, A_H_lu):
+        """The system of these blocks, alpha and beta symmetrized, on
+        A_H_lu, a sparse LU factor of A_H.
 
-    def full_mass(self):
-        return sp.bmat([[self.B_H, self.b_h], [self.b_h.T, self.beta]], format="csc")
+        With A_H SPD, K is SPD exactly when S_K is, and so is M: K and M are
+        Gram matrices of the same functions. The border is rejected when
+        lambda_min(S_K) <= _SCHUR_TOL * max diag(alpha).
+        """
+        alpha = 0.5 * (alpha + alpha.T)
+        Y = A_H_lu.solve(a_h)
+        S_K = alpha - a_h.T @ Y
+        S_K = 0.5 * (S_K + S_K.T)
+        if np.linalg.eigvalsh(S_K)[0] <= _SCHUR_TOL * np.diag(alpha).max():
+            raise LinalgError("bordered stiffness matrix is not SPD: "
+                              "u_tilde columns are not independent")
+        return cls(A_H=A_H, a_h=a_h, alpha=alpha, B_H=B_H, b_h=b_h,
+                   beta=0.5 * (beta + beta.T), A_H_lu=A_H_lu, Y=Y, S_K=S_K)
 
 
 def build_space(mesh: Mesh) -> FeSpace:
@@ -164,9 +185,10 @@ def build_transfer(coarse: FeSpace, fine: FeSpace) -> sp.csr_matrix:
 class CrossAssembler:
     """Bordered-system assembly for a fixed (coarse, fine) space pair.
 
-    The coarse blocks A_H, B_H (symmetric CSR), B_H's factor and exact
+    The coarse blocks A_H, B_H (symmetric CSR), A_H's factor and exact
     mode's border operators do not depend on the augmenting fine functions
-    and are built once; each call assembles only the border blocks.
+    and are built once; each call assembles only the border blocks and
+    their Schur complement on that factor.
     """
 
     def __init__(self, coarse, fine, coeff, A_h, B_h, transfer, mode="galerkin"):
@@ -187,14 +209,14 @@ class CrossAssembler:
         self.A_H = (0.5 * (A_H + A_H.T)).tocsr()
         self.B_H = (0.5 * (B_H + B_H.T)).tocsr()
         try:  # symmetric ordering, diagonal pivots: an LDL^T, all pivots > 0 iff SPD
-            lu = splu(self.B_H.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            lu = splu(self.A_H.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                       options={"SymmetricMode": True})
             spd = np.array_equal(lu.perm_r, lu.perm_c) and lu.U.diagonal().min() > 0.0
         except RuntimeError:  # SuperLU: "Factor is exactly singular"
             spd = False
         if not spd:
-            raise LinalgError("coarse mass matrix is not SPD")
-        self._B_H_lu = lu
+            raise LinalgError("coarse stiffness matrix is not SPD")
+        self._A_H_lu = lu
 
     # -- exact mode -----------------------------------------------------
 
@@ -266,10 +288,5 @@ class CrossAssembler:
             a_h = self._C_A @ U
             b_h = self._C_B @ U
 
-        sys = BorderedSystem(A_H=self.A_H, a_h=a_h, alpha=0.5 * (alpha + alpha.T),
-                             B_H=self.B_H, b_h=b_h, beta=0.5 * (beta + beta.T))
-        S = sys.beta - b_h.T @ self._B_H_lu.solve(b_h)
-        if np.linalg.eigvalsh(0.5 * (S + S.T))[0] <= _SCHUR_TOL * np.diag(sys.beta).max():
-            raise LinalgError("bordered mass matrix is not SPD: "
-                              "u_tilde columns are not independent")
-        return sys
+        return BorderedSystem.from_blocks(self.A_H, a_h, alpha, self.B_H, b_h, beta,
+                                          self._A_H_lu)

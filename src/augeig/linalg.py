@@ -239,7 +239,8 @@ def a_normalize(A: SparseMatrix, V):
         raise LinalgError(f"negative radicand {q.min():g}: matrix is not SPD")
     if (q <= 0).any():
         raise LinalgError(f"cannot a-normalize the zero vector (column {np.argmax(q <= 0)})")
-    return V * (np.where(-V.min(axis=0) > V.max(axis=0), -1.0, 1.0) / np.sqrt(q))
+    T = np.ascontiguousarray(V.T)  # per-column min/max on contiguous rows
+    return V * (np.where(-T.min(axis=1) > T.max(axis=1), -1.0, 1.0) / np.sqrt(q))
 
 
 def check_pair_count(nev, n):

@@ -37,6 +37,14 @@ def eigsh_reference(A, B, nev):
     return lams[order], a_normalize(A, vecs[:, order])
 
 
+def bordered_dense(sys):
+    """The bordered pencil (K, M) of a BorderedSystem as dense arrays: the
+    oracle for solve_bordered, which never forms either matrix."""
+    K = np.block([[sys.A_H.toarray(), sys.a_h], [sys.a_h.T, sys.alpha]])
+    M = np.block([[sys.B_H.toarray(), sys.b_h], [sys.b_h.T, sys.beta]])
+    return K, M
+
+
 def local_stiffness(tri_coords, k=1.0):
     """3x3 element stiffness for one triangle given as (3, 2) coordinates:
     an oracle for the vectorised assembly."""

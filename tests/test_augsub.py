@@ -1,10 +1,14 @@
 """One augmented subspace iteration: correction, bordered solve, reassembly."""
 
+import importlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import augeig.augsub as augsub
+import augeig.fem as fem
 import augeig.linalg as linalg
 from augeig.augsub import (
     EigenState,
@@ -26,7 +30,7 @@ from augeig.harness import measure_errors
 from augeig.linalg import a_normalize, dense_sym_gen_eig, pcg_solve, reference_eigensolve
 from augeig.multilevel import LevelPlan, build_hierarchy
 
-from conftest import eigsh_reference, fitted_mesh, sgs
+from conftest import bordered_dense, eigsh_reference, fitted_mesh, sgs
 
 
 def _block_error(vectors, ref, clusters, A_h):
@@ -82,13 +86,13 @@ def test_step_does_not_mutate_inputs(square_pair, square_initial_state):
 
 def test_step_rejects_duplicated_slot(square_pair, square_initial_state):
     # Two equal slots give two equal corrections; the border assembly's
-    # Schur-complement check is the step's one independence check.
+    # check of K's Schur complement is the step's one independence check.
     st = square_initial_state
     dup = EigenState(
         lambdas=np.array([st.lambdas[0], st.lambdas[0]]),
         vectors=np.column_stack([st.vectors[:, 0], st.vectors[:, 0]]),
     )
-    with pytest.raises(LinalgError, match="bordered mass matrix is not SPD"):
+    with pytest.raises(LinalgError, match="bordered stiffness matrix is not SPD"):
         aug_subspace_step(square_pair["level"], dup, theta=0.1)
 
 
@@ -110,12 +114,41 @@ def test_correction_breakdown_raises(square_pair, square_initial_state, monkeypa
     assert calls == [(square_pair["A_h"].n, len(square_initial_state.lambdas))]
 
 
+def test_one_coarse_factor_per_level(ex1, monkeypatch):
+    """CrossAssembler makes one sparse factorization per level, of A_H, and
+    an augmented step makes none: the bordered solve reuses that factor."""
+    calls, splu = [], spla.splu
+
+    def counting(A, *args, **kwargs):
+        calls.append(A.shape)
+        return splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(fem, "splu", counting)
+    plan = LevelPlan(coarse_h=2 / 17, h1=2 / 19, n_levels=2, nev=2)
+    levels = build_hierarchy(plan, ex1.domain, ex1.circles, ex1.coefficient()).levels
+    n_H = levels[0].assembler.A_H.shape[0]
+    assert calls == [(n_H, n_H)] * plan.n_levels
+
+    level = levels[1]
+    lams, vecs = eigsh_reference(level.A_h, level.B_h, 2)
+    calls.clear()
+    # Every name a step could factor through: SuperLU's own module, the
+    # public one, and eigsh's default shift-invert.
+    for module in ("scipy.sparse.linalg._dsolve.linsolve", "scipy.sparse.linalg",
+                   "scipy.sparse.linalg._eigen.arpack.arpack"):
+        monkeypatch.setattr(importlib.import_module(module), "splu", counting)
+    aug_subspace_step(level, EigenState(lambdas=lams, vectors=vecs), theta=0.1)
+    assert calls == []
+
+
 def _decoupled_system():
     # Coarse block diag(10, 20); border functions are exact eigenvectors
     # with eigenvalues 2 and 5 and no coupling to the coarse space.
-    return BorderedSystem(
-        A_H=sp.diags([10.0, 20.0], format="csr"), a_h=np.zeros((2, 2)), alpha=np.eye(2),
+    A_H = sp.diags([10.0, 20.0], format="csr")
+    return BorderedSystem.from_blocks(
+        A_H=A_H, a_h=np.zeros((2, 2)), alpha=np.eye(2),
         B_H=sp.identity(2, format="csr"), b_h=np.zeros((2, 2)), beta=np.diag([1 / 2, 1 / 5]),
+        A_H_lu=spla.splu(A_H.tocsc()),
     )
 
 
@@ -180,8 +213,8 @@ def test_solve_bordered_matches_dense_oracle(ex1_bordered):
     lambdas, u_H, xi = solve_bordered(sys)
     m = sys.m
     assert len(lambdas) == m
-    M = sys.full_mass().toarray()
-    w, _ = dense_sym_gen_eig(sys.full_stiffness().toarray(), M)
+    K, M = bordered_dense(sys)
+    w, _ = dense_sym_gen_eig(K, M)
     assert (np.abs(lambdas - w[:m]) <= 1e-12 * np.abs(w[:m])).all()
     X = np.vstack([u_H, xi])
     assert np.abs(X.T @ M @ X - np.eye(m)).max() <= 1e-12

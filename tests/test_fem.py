@@ -19,7 +19,7 @@ from augeig.fem import (
 from augeig.linalg import SparseMatrix, a_norm
 from augeig.mesh import Locator, Rect, generate_structured_mesh, locate_point
 
-from conftest import fitted_mesh, full_scan_locate, local_stiffness
+from conftest import bordered_dense, fitted_mesh, full_scan_locate, local_stiffness
 
 UNIT_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -199,9 +199,9 @@ def test_bordered_blocks_galerkin(square_pair):
     P = sp_["P"]
     assert np.allclose(sys.A_H.toarray(), (P.T @ (sp_["A_h"].csr @ P)).toarray(), atol=1e-12)
     assert np.allclose(sys.alpha, np.eye(2), atol=1e-10)
-    K = sys.full_stiffness().toarray()
+    K, M = bordered_dense(sys)
     assert np.allclose(K, K.T)
-    np.linalg.cholesky(sys.full_mass().toarray())  # SPD
+    np.linalg.cholesky(M)  # SPD
 
 
 def test_bordered_rejects_dependent_columns(square_pair):
@@ -233,11 +233,11 @@ def test_cross_assembly_bad_mode(square_pair):
 
 def test_cross_assembly_rejects_singular_coarse_mass():
     # A fine mesh coarser than the coarse one leaves coarse dofs with no
-    # fine node in their support, so P^T B_h P is singular.
+    # fine node in their support, so P^T A_h P (like P^T B_h P) is singular.
     coarse = build_space(generate_structured_mesh(Rect(0, 0, 2, 2), 0.25))
     fine = build_space(generate_structured_mesh(Rect(0, 0, 2, 2), 0.5))
     coeff = Coefficient({0: 1.0})
-    with pytest.raises(LinalgError, match="coarse mass matrix is not SPD"):
+    with pytest.raises(LinalgError, match="coarse stiffness matrix is not SPD"):
         CrossAssembler(coarse, fine, coeff, assemble_stiffness(fine, coeff),
                        assemble_mass(fine), build_transfer(coarse, fine))
 
@@ -249,15 +249,34 @@ def _bordered(coarse, fine, coeff, A_h, U, mode):
 
 @pytest.mark.parametrize("mode", ["galerkin", "exact"])
 def test_bordered_mass_guard_on_nonnested_pair(ex1, mode):
-    # The bordered solve assumes an SPD mass and never checks it, so the
-    # full Cholesky in assemble must reject an exactly repeated column.
+    # The bordered solve assumes an SPD pencil and never checks it, so the
+    # Schur-complement guard in assemble must reject an exactly repeated
+    # column.
     coarse = build_space(fitted_mesh(ex1, 2 / 17))
     fine = build_space(fitted_mesh(ex1, 2 / 19))
     coeff = ex1.coefficient()
     A_h = assemble_stiffness(fine, coeff)
     u = _orthonormal_block(A_h, fine.n_dof, 1, seed=6)
-    with pytest.raises(LinalgError, match="bordered mass matrix is not SPD"):
+    with pytest.raises(LinalgError, match="bordered stiffness matrix is not SPD"):
         _bordered(coarse, fine, coeff, A_h, np.column_stack([u, u]), mode)
+
+
+def test_bordered_stiffness_guard_rejects_coarse_column(ex1):
+    # A Galerkin border column inside V_H, u = P c, adds no direction:
+    # a_h = A_H c, so S_K = c^T A_H c - c^T A_H c is zero up to rounding,
+    # alone or beside an independent column.
+    coarse = build_space(fitted_mesh(ex1, 2 / 17))
+    fine = build_space(fitted_mesh(ex1, 2 / 19))
+    coeff = ex1.coefficient()
+    A_h = assemble_stiffness(fine, coeff)
+    P = build_transfer(coarse, fine)
+    asm = CrossAssembler(coarse, fine, coeff, A_h, assemble_mass(fine), P)
+    u = P @ np.random.default_rng(8).standard_normal((coarse.n_dof, 1))
+    v = _orthonormal_block(A_h, fine.n_dof, 1, seed=9)
+    assert asm.assemble(v).m == 1
+    for U in (u, np.column_stack([v, u])):
+        with pytest.raises(LinalgError, match="bordered stiffness matrix is not SPD"):
+            asm.assemble(U)
 
 
 @pytest.mark.parametrize("example, coarse_h, fine_h, mode", [
@@ -278,7 +297,7 @@ def test_bordered_mass_guard_rejects_every_repeated_column(example, coarse_h, fi
                          build_transfer(coarse, fine), mode)
     for seed in range(10):
         u = _orthonormal_block(A_h, fine.n_dof, 1, seed=seed)
-        with pytest.raises(LinalgError, match="bordered mass matrix is not SPD"):
+        with pytest.raises(LinalgError, match="bordered stiffness matrix is not SPD"):
             asm.assemble(np.column_stack([u, u]))
 
 

@@ -362,6 +362,29 @@ def test_a_normalize():
         a_normalize(A, np.column_stack([V[:, 0], np.zeros(10)]))
 
 
+def _a_normalize_oracle(A, V):
+    """a_normalize as it was written first: the sign from axis-0 min/max."""
+    q = np.einsum("ij,ij->j", V, A.csr @ V)
+    return V * (np.where(-V.min(axis=0) > V.max(axis=0), -1.0, 1.0) / np.sqrt(q))
+
+
+def test_a_normalize_is_bit_identical_to_oracle():
+    # Narrow and wide random blocks, plus columns whose extremes tie in
+    # magnitude (+-1 and +-0.5) or carry signed zeros.
+    rng = np.random.default_rng(7)
+    A = laplacian_1d(200)
+    ties = np.zeros((200, 4))
+    ties[[3, 50], 0] = [1.0, -1.0]
+    ties[[9, 120], 1] = [-0.5, 0.5]
+    ties[:, 2] = -0.0
+    ties[17, 2] = -2.0
+    ties[:, 3] = -0.0
+    ties[5, 3] = 3.0
+    blocks = [rng.standard_normal((200, k)) for k in (1, 4, 32)] + [ties]
+    for V in blocks:
+        assert np.array_equal(a_normalize(A, V), _a_normalize_oracle(A, V))
+
+
 def test_a_normalize_rejects_indefinite():
     # v^T A v = -1: the energy norm is undefined, so no NaN vector comes back.
     A = SparseMatrix(sp.csr_matrix(np.diag([1.0, -1.0])))
